@@ -115,7 +115,9 @@ pub fn run<S: Scalar>(
     }
 
     let mut labels = vec![0u32; n];
+    let final_assign = std::time::Instant::now();
     let objective = assign_step(data, &centroids, &mut labels) / n as f64;
+    let final_assign_s = final_assign.elapsed().as_secs_f64();
     Ok(HierResult {
         centroids,
         labels,
@@ -134,6 +136,7 @@ pub fn run<S: Scalar>(
         degraded_iterations: 0,
         bounds_mode: kmeans_core::BoundsMode::None,
         bounds: kmeans_core::BoundsStats::default(),
+        final_assign_s,
     })
 }
 

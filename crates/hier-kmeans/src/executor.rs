@@ -439,6 +439,10 @@ pub struct HierResult<S: Scalar> {
     /// Pruning counters merged across ranks (all zero when bounds were
     /// off).
     pub bounds: BoundsStats,
+    /// Wall seconds of the final label/objective pass over all samples,
+    /// run after the iterations: the part of a fit that does not scale
+    /// with the iteration count.
+    pub final_assign_s: f64,
 }
 
 impl<S: Scalar> HierResult<S> {
@@ -490,6 +494,7 @@ impl<S: Scalar> HierResult<S> {
         registry.gauge_set("bounds_seed_scans", self.bounds.seed_scans as f64);
         registry.gauge_set("bounds_resets", self.bounds.resets as f64);
         registry.gauge_set("train_label_checksum", label_checksum(&self.labels) as f64);
+        registry.gauge_set("train_final_assign_s", self.final_assign_s);
     }
 }
 
@@ -677,8 +682,10 @@ pub(crate) fn finalize_faults<S: Scalar>(
 
 /// Assemble a [`HierResult`] from per-rank outputs: exactly one rank
 /// returns the final centroids; labels and objective are recomputed against
-/// them with the serial assign kernel (the same final-assign step
-/// `Lloyd::run_from` performs). Each rank hands back its per-iteration
+/// them by `kmeans_core::assign_step` — the exact direct-distance pass
+/// `Lloyd::run_from` ends with, so the hierarchy and the serial oracle
+/// share one label contract whatever kernel the iterations ran. Its wall
+/// time is carried as `final_assign_s`. Each rank hands back its per-iteration
 /// phase trace; the legacy [`PhaseTimings`] critical path is derived from
 /// the per-rank totals.
 pub(crate) fn assemble<S: Scalar>(
@@ -719,7 +726,9 @@ pub(crate) fn assemble<S: Scalar>(
     let centroids = centroids.expect("no rank returned centroids");
     let bounds_mode = cfg.resolved_bounds(data.rows(), centroids.rows(), centroids.cols());
     let mut labels = vec![0u32; data.rows()];
+    let final_assign = std::time::Instant::now();
     let objective = kmeans_core::assign_step(data, &centroids, &mut labels) / data.rows() as f64;
+    let final_assign_s = final_assign.elapsed().as_secs_f64();
     let mut comm = msg::CostLog::new();
     for c in &costs {
         comm.merge(c);
@@ -742,6 +751,7 @@ pub(crate) fn assemble<S: Scalar>(
         degraded_iterations: 0,
         bounds_mode,
         bounds,
+        final_assign_s,
     }
 }
 

@@ -195,6 +195,7 @@ pub fn fit_source<Src: SampleSource + Sync>(
     let window = cfg.window;
     let mut buf = Matrix::<f32>::zeros(window, d);
     let mut start = 0usize;
+    let final_assign = std::time::Instant::now();
     while start < n {
         let len = window.min(n - start);
         for w in 0..len {
@@ -204,6 +205,7 @@ pub fn fit_source<Src: SampleSource + Sync>(
         objective_sum += assign_step(&chunk, &centroids, &mut labels[start..start + len]);
         start += len;
     }
+    let final_assign_s = final_assign.elapsed().as_secs_f64();
     Ok(HierResult {
         centroids,
         labels,
@@ -228,6 +230,7 @@ pub fn fit_source<Src: SampleSource + Sync>(
         degraded_iterations: 0,
         bounds_mode: kmeans_core::BoundsMode::None,
         bounds: kmeans_core::BoundsStats::default(),
+        final_assign_s,
     })
 }
 

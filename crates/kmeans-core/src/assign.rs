@@ -56,7 +56,7 @@ const NR: usize = 4;
 /// the shape that lets the compiler lower the inner loop to
 /// broadcast-×-vector multiplies.
 const GEMM_MR: usize = 4;
-const GEMM_NR: usize = 8;
+pub(crate) const GEMM_NR: usize = 8;
 
 /// Which kernel the Assign phase runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1101,7 +1101,7 @@ unsafe fn gemm_micro_f32_avx(
 
 /// Pack every centroid row into `GEMM_NR`-wide column-interleaved panels
 /// (see [`GemmState`] for the layout). Lanes past `k` are zeroed.
-fn pack_centroid_panels<S: Scalar>(centroids: &Matrix<S>) -> Vec<S> {
+pub(crate) fn pack_centroid_panels<S: Scalar>(centroids: &Matrix<S>) -> Vec<S> {
     let (k, d) = (centroids.rows(), centroids.cols());
     let panels = k.div_ceil(GEMM_NR).max(1);
     let mut out = vec![S::ZERO; panels * d * GEMM_NR];

@@ -1,9 +1,12 @@
 //! Core k-means building blocks: dense matrices, distance kernels,
 //! initialization and the serial Lloyd baseline.
 //!
-//! Everything in this crate is sequential and allocation-disciplined; it is
-//! the foundation the hierarchical executors in `hier-kmeans` are built on
-//! *and* the reference implementation they are tested against. The problem
+//! The algorithms in this crate are sequential and allocation-disciplined
+//! (two exact whole-data passes — `assign_step` and k-means++ seeding —
+//! split their rows over scoped threads once they are large enough, with
+//! bitwise the serial result); it is the foundation the hierarchical
+//! executors in `hier-kmeans` are built on *and* the reference
+//! implementation they are tested against. The problem
 //! definition follows the paper exactly: given `n` samples in `R^d`, find `k`
 //! centroids minimising the mean squared Euclidean distance from each sample
 //! to its nearest centroid, iterating Lloyd's Assign/Update steps.
@@ -16,8 +19,9 @@
 //!   column-range views (the unit Level 3 partitions by dimension).
 //! * [`assign`] — the batch-assign kernel layer: scalar, norm-expanded and
 //!   LDM-tiled kernels behind one [`AssignKernel`] entry point.
-//! * [`distance`] — squared-Euclidean kernels: simple, unrolled, and
-//!   partial-dimension variants.
+//! * [`distance`] — squared-Euclidean kernels: simple, unrolled and
+//!   partial-dimension variants per pair, and the bit-exact batch forms
+//!   the final label pass and k-means++ run on.
 //! * [`init`] — Forgy, random-partition and k-means++ seeding.
 //! * [`lloyd`] — the serial reference algorithm with pluggable convergence,
 //!   exposed both as a whole and as separate Assign/Update steps (the pieces

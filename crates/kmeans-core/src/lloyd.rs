@@ -4,7 +4,7 @@
 
 use crate::assign::{AssignKernel, AssignPlanner, LDM_BYTES_DEFAULT};
 use crate::bounds::{centroid_drifts, BoundState, BoundsMode, BoundsScratch, BoundsStats};
-use crate::distance::argmin_centroid;
+use crate::distance::{argmin_direct, par_workers, CentroidPanels};
 use crate::init::{init_centroids, InitMethod};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -26,7 +26,8 @@ pub struct KMeansConfig {
     /// RNG seed for the seeding strategy.
     pub seed: u64,
     /// Which Assign kernel the iteration loop runs (the final
-    /// labels-vs-centroids Assign always uses the exact scalar reference).
+    /// labels-vs-centroids Assign is always [`assign_step`], the exact
+    /// direct-distance pass, whatever this is set to).
     pub kernel: AssignKernel,
     /// Which Update path the iteration loop runs; all modes produce
     /// bitwise-identical centroids, labels and objective.
@@ -148,12 +149,48 @@ pub struct KMeansResult<S: Scalar> {
 /// Assign each sample to its nearest centroid, filling `labels` and
 /// returning the summed squared distance (so the mean objective is
 /// `returned / n`). Ties break toward the lower centroid index.
+///
+/// Labels and the returned bits are those of a serial
+/// [`argmin_centroid`](crate::distance::argmin_centroid) scan with an f64
+/// sum in sample order: the centroids are packed once, row chunks go
+/// through the exact batch kernel [`argmin_direct`] (on scoped worker
+/// threads once the pass is large enough to pay for them), and the
+/// per-sample winning distances are folded here, in sample order.
 pub fn assign_step<S: Scalar>(data: &Matrix<S>, centroids: &Matrix<S>, labels: &mut [u32]) -> f64 {
-    assert_eq!(labels.len(), data.rows());
+    let work = data.rows() * centroids.rows() * data.cols();
+    assign_step_parts(data, centroids, labels, par_workers(work))
+}
+
+/// [`assign_step`] over `parts` row chunks (fewer when `n < parts`); the
+/// first runs on the caller, the others on one scoped thread each.
+fn assign_step_parts<S: Scalar>(
+    data: &Matrix<S>,
+    centroids: &Matrix<S>,
+    labels: &mut [u32],
+    parts: usize,
+) -> f64 {
+    let n = data.rows();
+    assert_eq!(labels.len(), n);
+    if n == 0 {
+        return 0.0;
+    }
+    // Checked here, before any worker exists to trip over it.
+    assert_eq!(data.cols(), centroids.cols(), "dimension mismatch");
+    let panels = CentroidPanels::pack(centroids);
+    let mut dists = vec![S::ZERO; n];
+    let chunk = n.div_ceil(parts.clamp(1, n));
+    std::thread::scope(|scope| {
+        let panels = &panels;
+        let mut chunks = labels.chunks_mut(chunk).zip(dists.chunks_mut(chunk));
+        let head = chunks.next().expect("n > 0");
+        for (c, (l, dd)) in chunks.enumerate() {
+            let start = (c + 1) * chunk;
+            scope.spawn(move || argmin_direct(data, start..start + l.len(), panels, l, dd));
+        }
+        argmin_direct(data, 0..head.0.len(), panels, head.0, head.1);
+    });
     let mut total = 0.0f64;
-    for (i, label) in labels.iter_mut().enumerate() {
-        let (j, d) = argmin_centroid(data.row(i), centroids);
-        *label = j as u32;
+    for d in &dists {
         total += d.to_f64();
     }
     total
@@ -491,6 +528,97 @@ mod tests {
             }
         }
         Matrix::from_vec(60, 2, data)
+    }
+
+    /// The loop `assign_step` replaced: a serial `argmin_centroid` scan
+    /// with the f64 sum taken in sample order.
+    fn serial_assign<S: Scalar>(data: &Matrix<S>, centroids: &Matrix<S>) -> (Vec<u32>, f64) {
+        let mut total = 0.0f64;
+        let labels = (0..data.rows())
+            .map(|i| {
+                let (j, d) = crate::distance::argmin_centroid(data.row(i), centroids);
+                total += d.to_f64();
+                j as u32
+            })
+            .collect();
+        (labels, total)
+    }
+
+    fn ramp<S: Scalar>(rows: usize, cols: usize, salt: usize) -> Matrix<S> {
+        let flat = (0..rows * cols)
+            .map(|i| S::from_f64((((i * 7919 + salt * 104729) % 2003) as f64 - 1001.0) / 97.0))
+            .collect();
+        Matrix::from_vec(rows, cols, flat)
+    }
+
+    #[test]
+    fn assign_step_is_the_serial_scan_for_any_chunk_count() {
+        // 1 003 rows: no chunk count below divides it, so every split has
+        // a ragged last chunk.
+        let data = ramp::<f32>(1003, 19, 1);
+        let centroids = ramp::<f32>(21, 19, 2);
+        let (want_labels, want_total) = serial_assign(&data, &centroids);
+        for parts in [1, 2, 3, 7] {
+            let mut labels = vec![u32::MAX; 1003];
+            let total = assign_step_parts(&data, &centroids, &mut labels, parts);
+            assert_eq!(labels, want_labels, "parts {parts}");
+            assert_eq!(total.to_bits(), want_total.to_bits(), "parts {parts}");
+        }
+        let mut labels = vec![u32::MAX; 1003];
+        let total = assign_step(&data, &centroids, &mut labels);
+        assert_eq!(
+            (labels, total.to_bits()),
+            (want_labels, want_total.to_bits())
+        );
+    }
+
+    #[test]
+    fn assign_step_keeps_its_answers_on_degenerate_shapes() {
+        // d == 0: every distance is the empty sum, centroid 0 wins.
+        let mut labels = vec![9u32; 5];
+        let zero_wide = Matrix::<f32>::zeros(5, 0);
+        assert_eq!(
+            assign_step(&zero_wide, &Matrix::zeros(3, 0), &mut labels),
+            0.0
+        );
+        assert_eq!(labels, [0; 5]);
+        // k == 1.
+        let data = ramp::<f64>(11, 3, 3);
+        let one = ramp::<f64>(1, 3, 4);
+        let mut labels = vec![9u32; 11];
+        let total = assign_step(&data, &one, &mut labels);
+        assert_eq!((labels, total.to_bits()), {
+            let (l, t) = serial_assign(&data, &one);
+            (l, t.to_bits())
+        });
+        // Fewer rows than chunks: no empty chunk is spawned or indexed.
+        let centroids = ramp::<f64>(4, 3, 5);
+        for n in [1, 2, 5] {
+            let few = ramp::<f64>(n, 3, 6);
+            let mut labels = vec![9u32; n];
+            let total = assign_step_parts(&few, &centroids, &mut labels, 7);
+            let (want_labels, want_total) = serial_assign(&few, &centroids);
+            assert_eq!(
+                (labels, total.to_bits()),
+                (want_labels, want_total.to_bits()),
+                "n {n}"
+            );
+        }
+        // No rows at all: nothing to scan, whatever the centroids are.
+        assert_eq!(
+            assign_step(&Matrix::<f32>::zeros(0, 4), &Matrix::zeros(0, 4), &mut []),
+            0.0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no centroids")]
+    fn assign_step_rejects_an_empty_centroid_set() {
+        let _ = assign_step(
+            &Matrix::<f32>::zeros(2, 4),
+            &Matrix::zeros(0, 4),
+            &mut [0; 2],
+        );
     }
 
     #[test]

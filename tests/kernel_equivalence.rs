@@ -6,6 +6,7 @@
 //! canonical accumulation order).
 
 use proptest::prelude::*;
+use sunway_kmeans::kmeans_core::distance::{argmin_direct, argmin_direct_portable, CentroidPanels};
 use sunway_kmeans::kmeans_core::{
     argmin_centroid, BoundsMode, KMeansConfig, Lloyd, TileShape, LDM_BYTES_DEFAULT,
 };
@@ -153,6 +154,51 @@ proptest! {
                 tiled[i].1.to_bits(), gemm[i].1.to_bits(),
                 "ldm={} sample {}: keys diverged bitwise", ldm, i
             );
+        }
+    }
+
+    /// The exact batch kernel behind `assign_step`: its AVX body (what
+    /// `argmin_direct` dispatches to for f32 on an AVX machine) against the
+    /// portable body and against the serial `argmin_centroid` scan, labels
+    /// and distance bits, on arbitrary row sub-ranges. Near-ties are
+    /// forced by duplicating a centroid row and by planting samples on
+    /// centroids; a NaN coordinate checks the unordered compares.
+    #[test]
+    fn direct_argmin_avx_matches_portable_and_serial_bitwise(
+        seed in 0u64..10_000,
+        n in 1usize..150,
+        d in 1usize..70,
+        k in 1usize..40,
+        lo_pick in 0usize..150,
+        len_pick in 0usize..150,
+        nan_pick in 0usize..6,
+    ) {
+        let blobs = GaussianMixture::new(n.max(k), d, k).with_seed(seed).generate::<f32>();
+        let mut data = blobs.data;
+        let n = data.rows();
+        let mut centroids = init_centroids(&data, k, InitMethod::Forgy, seed + 7);
+        if k > 1 {
+            let dup = centroids.row(0).to_vec();
+            centroids.row_mut(k - 1).copy_from_slice(&dup);
+        }
+        let planted = centroids.row(k / 2).to_vec();
+        data.row_mut(seed as usize % n).copy_from_slice(&planted);
+        if nan_pick == 0 {
+            data.set((seed as usize / 3) % n, seed as usize % d, f32::NAN);
+        }
+        let lo = lo_pick % n;
+        let rows = lo..lo + len_pick % (n - lo + 1);
+        let panels = CentroidPanels::pack(&centroids);
+        let (mut labels, mut dists) = (vec![u32::MAX; rows.len()], vec![-1.0f32; rows.len()]);
+        argmin_direct(&data, rows.clone(), &panels, &mut labels, &mut dists);
+        let (mut p_labels, mut p_dists) = (vec![u32::MAX; rows.len()], vec![-1.0f32; rows.len()]);
+        argmin_direct_portable(&data, rows.clone(), &panels, &mut p_labels, &mut p_dists);
+        for (o, i) in rows.clone().enumerate() {
+            let (j, dist) = argmin_centroid(data.row(i), &centroids);
+            prop_assert_eq!(labels[o], p_labels[o], "rows {:?} sample {}", rows, i);
+            prop_assert_eq!(dists[o].to_bits(), p_dists[o].to_bits(), "rows {:?} sample {}", rows, i);
+            prop_assert_eq!(labels[o] as usize, j, "rows {:?} sample {}", rows, i);
+            prop_assert_eq!(dists[o].to_bits(), dist.to_bits(), "rows {:?} sample {}", rows, i);
         }
     }
 

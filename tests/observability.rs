@@ -144,6 +144,7 @@ fn training_and_serving_share_one_registry() {
         "train_update_ns",
         "train_iter_wall_ns",
         "train_objective",
+        "train_final_assign_s",
         "comm_total_bytes",
         "serve_accepted",
         "serve_completed",
@@ -197,6 +198,14 @@ fn kernel_choice_and_assign_throughput_are_exported() {
             .gauge("train_assign_samples_per_s")
             .expect("throughput gauge");
         assert!(rate > 0.0, "{kernel}: assign throughput {rate}");
+        // The fixed part of the fit — the final label/objective pass —
+        // is timed in-program and exported beside the phase times.
+        assert!(result.final_assign_s > 0.0, "{kernel}");
+        assert_eq!(
+            registry.gauge("train_final_assign_s"),
+            Some(result.final_assign_s),
+            "{kernel}"
+        );
         let json = to_json(&registry);
         assert!(json.contains("\"train_assign_kernel\""), "{json}");
     }
