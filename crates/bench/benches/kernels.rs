@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the distance kernels: straightforward vs unrolled
-//! vs Level-3 sliced, the argmin scan, and the batch-assign kernels
-//! (scalar / expanded / tiled) at paper-like shapes.
+//! vs Level-3 sliced, the argmin scan, and the two batch-assign kernels
+//! (scalar / gemm) at paper-like shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kmeans_core::distance::{argmin_centroid, sq_euclidean, sq_euclidean_unrolled, CentroidNorms};
+use kmeans_core::distance::{argmin_centroid, sq_euclidean, sq_euclidean_unrolled};
 use kmeans_core::{AssignKernel, AssignPlan, Matrix};
 
 fn distance_kernels(c: &mut Criterion) {
@@ -50,16 +50,12 @@ fn argmin_scan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("direct", k), &k, |b, _| {
             b.iter(|| argmin_centroid(&sample, &centroids))
         });
-        let norms = CentroidNorms::new(&centroids);
-        group.bench_with_input(BenchmarkId::new("norm_trick", k), &k, |b, _| {
-            b.iter(|| norms.argmin(&sample, &centroids))
-        });
     }
     group.finish();
 }
 
 /// The batch-assign kernels across the C1 boundary: `k·d·4 B` below,
-/// near, and far above the 64 KB LDM budget — the regimes where tiling
+/// near, and far above the 64 KB LDM budget — the regimes where blocking
 /// is pointless, ideal, and forced to spill respectively.
 fn assign_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels_assign");

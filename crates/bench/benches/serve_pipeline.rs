@@ -1,11 +1,11 @@
-//! Serving-path benchmarks: the sharded index scan (exact vs norm-trick,
-//! varying shard counts) and the end-to-end request pipeline.
+//! Serving-path benchmarks: the sharded index scan (varying shard counts)
+//! and the end-to-end request pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kmeans_core::Matrix;
 use std::sync::Arc;
 use swkm_obs::TraceBuffer;
-use swkm_serve::{Kernel, PipelineConfig, ServeTracing, Server, ShardedIndex};
+use swkm_serve::{PipelineConfig, ServeTracing, Server, ShardedIndex};
 
 fn synthetic_centroids(k: usize, d: usize) -> Matrix<f32> {
     Matrix::from_vec(k, d, (0..k * d).map(|i| (i as f32 * 0.13).sin()).collect())
@@ -28,10 +28,6 @@ fn sharded_scan(c: &mut Criterion) {
         let exact = ShardedIndex::new(centroids.clone(), shards);
         group.bench_with_input(BenchmarkId::new("exact", shards), &shards, |b, _| {
             b.iter(|| exact.assign_batch(&queries))
-        });
-        let norm = ShardedIndex::new(centroids.clone(), shards).with_kernel(Kernel::Expanded);
-        group.bench_with_input(BenchmarkId::new("norm_trick", shards), &shards, |b, _| {
-            b.iter(|| norm.assign_batch(&queries))
         });
     }
     group.finish();

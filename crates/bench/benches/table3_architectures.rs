@@ -1,12 +1,13 @@
-//! Table III bench — architecture comparison at host scale: serial Lloyd
-//! vs rayon shared-memory baseline vs the three hierarchical executors on
-//! one workload (the Ding et al. Yinyang row's shape, scaled down).
+//! Table III bench — architecture comparison at host scale: serial Lloyd,
+//! with and without Yinyang bounds, vs rayon shared-memory baseline vs the
+//! three hierarchical executors on one workload (the Ding et al. Yinyang
+//! row's shape, scaled down).
 
 use bench::{bench_config, bench_init, BENCH_ITERS};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hier_kmeans::baseline::{self, BaselineConfig};
 use hier_kmeans::fit;
-use kmeans_core::{elkan, minibatch, yinyang, KMeansConfig, Lloyd, MiniBatchConfig};
+use kmeans_core::{BoundsMode, KMeansConfig, Lloyd};
 use perf_model::Level;
 
 fn table3(c: &mut Criterion) {
@@ -30,36 +31,13 @@ fn table3(c: &mut Criterion) {
                 .objective
         })
     });
-    group.bench_function("elkan", |b| {
-        let cfg = KMeansConfig::new(k)
-            .with_max_iters(BENCH_ITERS)
-            .with_tol(0.0);
-        b.iter(|| {
-            elkan::run_from(&data, init.clone(), &cfg)
-                .unwrap()
-                .0
-                .objective
-        })
-    });
     group.bench_function("yinyang", |b| {
         let cfg = KMeansConfig::new(k)
             .with_max_iters(BENCH_ITERS)
-            .with_tol(0.0);
+            .with_tol(0.0)
+            .with_bounds(BoundsMode::Yinyang);
         b.iter(|| {
-            yinyang::run_from(&data, init.clone(), &cfg)
-                .unwrap()
-                .0
-                .objective
-        })
-    });
-    group.bench_function("minibatch", |b| {
-        let mb = MiniBatchConfig {
-            batch: 1_024,
-            batches: BENCH_ITERS,
-            seed: 1,
-        };
-        b.iter(|| {
-            minibatch::run_from(&data, init.clone(), &mb, &KMeansConfig::new(k))
+            Lloyd::run_from(&data, init.clone(), &cfg)
                 .unwrap()
                 .objective
         })

@@ -5,14 +5,14 @@
 //! swkm model --n 1265723 --k 2000 --d 4096 --nodes 128 [--level 2]
 //! swkm sweep --n 1265723 --k 2000 --d-lo 512 --d-hi 8192 --step 512 --nodes 128
 //! swkm fit   --dataset kegg --n 4096 --k 64 [--level 3] [--units 8] [--group 2]
-//!            [--kernel scalar|expanded|tiled|gemm] [--update twopass|fused|delta]
+//!            [--kernel scalar|gemm] [--update twopass|fused|delta]
 //!            [--merge auto|tree|ring] [--bounds none|hamerly|yinyang|auto]
-//!            [--algo hier|lloyd|elkan|yinyang] [--faults seed=7,rate=0.25,...]
+//!            [--algo hier|lloyd] [--faults seed=7,rate=0.25,...]
 //!            [--metrics-json out.json] [--metrics-prom out.prom]
 //!            [--trace-out trace.json]
 //! swkm landcover --size 128 --out target/landcover-cli
 //! swkm train --dataset mixture --n 4096 --k 64 --save-model model.swkm [--standardize]
-//! swkm predict --model model.swkm --n 1024 [--shards 4] [--kernel scalar|expanded|tiled|gemm]
+//! swkm predict --model model.swkm --n 1024 [--shards 4] [--kernel scalar|gemm]
 //! swkm predict --store models/ --model-name census --n 1024
 //! swkm serve-bench --k 64 --clients 8 --requests 2000 [--queue 1024] [--workers 2]
 //!                  [--metrics-interval 1] [--metrics-json out.json]
@@ -325,13 +325,13 @@ fn cmd_fit(args: &Args) -> Result<(), String> {
     let update = parse_update_mode(args)?;
     let merge = parse_merge_strategy(args)?;
     let bounds = parse_bounds_mode(args)?;
-    // `--algo lloyd|elkan|yinyang` runs a serial exact algorithm on the
-    // same data/init instead of the hierarchical executor — the multi-core
-    // baselines of the paper's Table III, for filter-effectiveness
-    // comparisons against `--bounds`.
+    // `--algo lloyd` runs the serial exact algorithm on the same data/init
+    // instead of the hierarchical executor — the single-core baseline for
+    // filter-effectiveness comparisons against `--bounds`.
     match args.get_str("algo") {
         None | Some("hier") => {}
-        Some(algo) => return fit_serial(args, algo, &data, k, kernel, update, bounds),
+        Some("lloyd") => return fit_serial(args, &data, k, kernel, update, bounds),
+        Some(algo) => return Err(format!("--algo must be hier|lloyd, got `{algo}`")),
     }
     let level = match parse_level(args)? {
         Some(level) => level,
@@ -449,27 +449,21 @@ fn cmd_fit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `fit --algo lloyd|elkan|yinyang`: the serial exact algorithms on the
-/// same dataset/seed/init as the hierarchical path. Elkan and Yinyang are
-/// the triangle-inequality baselines the distributed `--bounds` pruning is
-/// measured against; their filter counters land in the metrics registry
-/// (`accel_*` plus algorithm-specific gauges) next to `train_objective`
-/// and `train_label_checksum`, so runs can be compared from metrics dumps
+/// `fit --algo lloyd`: the serial exact algorithm on the same
+/// dataset/seed/init as the hierarchical path. With `--bounds
+/// hamerly|yinyang` it is the serial triangle-inequality baseline the
+/// distributed pruning is measured against; the filter counters land in
+/// the metrics registry (`accel_*` gauges) next to `train_objective` and
+/// `train_label_checksum`, so runs can be compared from metrics dumps
 /// alone.
 fn fit_serial(
     args: &Args,
-    algo: &str,
     data: &kmeans_core::Matrix<f32>,
     k: usize,
     kernel: kmeans_core::AssignKernel,
     update: kmeans_core::UpdateMode,
     bounds: kmeans_core::BoundsMode,
 ) -> Result<(), String> {
-    if !matches!(algo, "lloyd" | "elkan" | "yinyang") {
-        return Err(format!(
-            "--algo must be hier|lloyd|elkan|yinyang, got `{algo}`"
-        ));
-    }
     let config = kmeans_core::KMeansConfig::new(k)
         .with_seed(args.get_or("seed", 0u64)?)
         .with_max_iters(args.get_or("max-iters", 100usize)?)
@@ -479,36 +473,15 @@ fn fit_serial(
         .with_bounds(bounds);
     let init = init_centroids(data, k, config.init, config.seed);
     println!(
-        "fitting serial {algo}: n={} d={} k={k} ({kernel} kernel, {update} update, \
+        "fitting serial lloyd: n={} d={} k={k} ({kernel} kernel, {update} update, \
          {bounds} bounds)",
         data.rows(),
         data.cols()
     );
     let registry = swkm_obs::MetricsRegistry::shared();
-    // (algo code, result, distance evals, Lloyd-equivalent evals, savings)
-    let (code, fit, evals, lloyd_equivalent, savings) = match algo {
-        "lloyd" => {
-            let fit =
-                kmeans_core::Lloyd::run_from(data, init, &config).map_err(|e| e.to_string())?;
-            let s = fit.bounds;
-            (1.0, fit, s.distance_evals, s.lloyd_equivalent, s.savings())
-        }
-        "elkan" => {
-            let (fit, s) =
-                kmeans_core::elkan::run_from(data, init, &config).map_err(|e| e.to_string())?;
-            registry.gauge_set("elkan_center_center_evals", s.center_center_evals as f64);
-            registry.gauge_set("elkan_point_filter_hits", s.point_filter_hits as f64);
-            (2.0, fit, s.distance_evals, s.lloyd_equivalent, s.savings())
-        }
-        "yinyang" => {
-            let (fit, s) =
-                kmeans_core::yinyang::run_from(data, init, &config).map_err(|e| e.to_string())?;
-            registry.gauge_set("yinyang_global_filter_hits", s.global_filter_hits as f64);
-            registry.gauge_set("yinyang_group_filter_hits", s.group_filter_hits as f64);
-            (3.0, fit, s.distance_evals, s.lloyd_equivalent, s.savings())
-        }
-        _ => unreachable!("algo validated above"),
-    };
+    let fit = kmeans_core::Lloyd::run_from(data, init, &config).map_err(|e| e.to_string())?;
+    let s = fit.bounds;
+    let (evals, lloyd_equivalent, savings) = (s.distance_evals, s.lloyd_equivalent, s.savings());
     println!(
         "done: {} iterations (converged = {}), objective {:.5}",
         fit.iterations, fit.converged, fit.objective
@@ -522,7 +495,7 @@ fn fit_serial(
     }
     let sizes = kmeans_core::objective::cluster_sizes(&fit.labels, k);
     println!("cluster sizes: {sizes:?}");
-    registry.gauge_set("train_algo", code);
+    registry.gauge_set("train_algo", 1.0);
     registry.gauge_set("train_objective", fit.objective);
     registry.gauge_set("train_converged", if fit.converged { 1.0 } else { 0.0 });
     registry.gauge_set("train_iterations", fit.iterations as f64);
@@ -620,16 +593,19 @@ mod tests {
 
     #[test]
     fn fit_accepts_every_kernel_and_rejects_unknown_ones() {
-        for kernel in ["scalar", "expanded", "tiled", "gemm"] {
+        for kernel in ["scalar", "gemm", "exact", "tiled"] {
             run(&argv(&format!(
                 "fit --dataset mixture --n 128 --k 3 --d 8 --max-iters 3 --kernel {kernel}"
             )))
             .unwrap();
         }
-        assert!(run(&argv(
-            "fit --dataset mixture --n 128 --k 3 --d 8 --kernel warp-drive"
-        ))
-        .is_err());
+        for kernel in ["warp-drive", "expanded", "norm-trick"] {
+            let err = run(&argv(&format!(
+                "fit --dataset mixture --n 128 --k 3 --d 8 --kernel {kernel}"
+            )))
+            .unwrap_err();
+            assert!(err.contains("scalar|gemm"), "{kernel}: {err}");
+        }
     }
 
     #[test]
@@ -711,10 +687,10 @@ mod tests {
     fn fit_algo_serial_baselines_run_and_export_filter_gauges() {
         let json = std::env::temp_dir().join("swkm_fit_algo_test.json");
         let mut checksums = Vec::new();
-        for algo in ["lloyd", "elkan", "yinyang"] {
+        for bounds in ["none", "yinyang"] {
             run(&argv(&format!(
-                "fit --dataset mixture --n 256 --k 12 --d 8 --max-iters 30 --algo {algo} \
-                 --metrics-json {}",
+                "fit --dataset mixture --n 256 --k 12 --d 8 --max-iters 30 --algo lloyd \
+                 --bounds {bounds} --metrics-json {}",
                 json.display()
             )))
             .unwrap();
@@ -725,26 +701,26 @@ mod tests {
                 "train_label_checksum",
                 "accel_distance_evals",
                 "accel_lloyd_equivalent",
+                "accel_savings",
             ] {
-                assert!(doc.contains(key), "{algo}: metrics JSON missing `{key}`");
-            }
-            match algo {
-                "elkan" => assert!(doc.contains("elkan_point_filter_hits"), "{doc}"),
-                "yinyang" => assert!(doc.contains("yinyang_global_filter_hits"), "{doc}"),
-                _ => {}
+                assert!(doc.contains(key), "{bounds}: metrics JSON missing `{key}`");
             }
             let at = doc.find("\"train_label_checksum\":").unwrap() + 23;
             checksums.push(doc[at..][..doc[at..].find([',', '}']).unwrap()].to_string());
         }
         std::fs::remove_file(&json).ok();
-        // All three serial algorithms are exact: same init, same labels.
-        assert_eq!(checksums[0], checksums[1], "elkan diverged from lloyd");
-        assert_eq!(checksums[0], checksums[2], "yinyang diverged from lloyd");
-        let err = run(&argv(
-            "fit --dataset mixture --n 64 --k 2 --d 4 --algo warp",
-        ))
-        .unwrap_err();
-        assert!(err.contains("warp"), "{err}");
+        // The bounded serial run is exact: same init, same labels.
+        assert_eq!(
+            checksums[0], checksums[1],
+            "yinyang bounds diverged from lloyd"
+        );
+        for algo in ["warp", "elkan", "yinyang"] {
+            let err = run(&argv(&format!(
+                "fit --dataset mixture --n 64 --k 2 --d 4 --algo {algo}"
+            )))
+            .unwrap_err();
+            assert!(err.contains(algo) && err.contains("hier|lloyd"), "{err}");
+        }
     }
 
     #[test]
@@ -768,14 +744,14 @@ mod tests {
         let json = std::env::temp_dir().join("swkm_fit_kernel_gauges_test.json");
         run(&argv(&format!(
             "fit --dataset mixture --n 192 --k 3 --d 6 --max-iters 4 --level 2 \
-             --units 4 --group 2 --kernel tiled --metrics-json {}",
+             --units 4 --group 2 --kernel gemm --metrics-json {}",
             json.display()
         )))
         .unwrap();
         let doc = std::fs::read_to_string(&json).unwrap();
         assert!(
-            doc.contains("\"train_assign_kernel\":2.0"),
-            "tiled gauge missing: {doc}"
+            doc.contains("\"train_assign_kernel\":3.0"),
+            "gemm gauge missing: {doc}"
         );
         assert!(
             doc.contains("train_assign_samples_per_s"),
@@ -964,9 +940,14 @@ mod tests {
         )))
         .unwrap();
         run(&argv(&format!(
-            "predict --model {model} --n 128 --d 8 --kernel norm-trick"
+            "predict --model {model} --n 128 --d 8 --kernel gemm"
         )))
         .unwrap();
+        let err = run(&argv(&format!(
+            "predict --model {model} --n 128 --d 8 --kernel norm-trick"
+        )))
+        .unwrap_err();
+        assert!(err.contains("scalar|gemm"), "{err}");
         run(&argv(&format!(
             "serve-bench --model {model} --n 128 --d 8 --clients 2 --requests 50"
         )))

@@ -3,6 +3,7 @@
 //! loop load test of the request pipeline).
 
 use crate::args::Args;
+use crate::parse_assign_kernel;
 use kmeans_core::{ColumnStats, InitMethod, KMeansConfig, Lloyd, Matrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,13 +42,6 @@ fn dataset_matrix(args: &Args, k: usize) -> Result<Matrix<Elem>, String> {
             ))
         }
     })
-}
-
-fn parse_kernel(args: &Args) -> Result<Kernel, String> {
-    match args.get_str("kernel") {
-        None => Ok(Kernel::Scalar),
-        Some(spec) => Kernel::parse(spec).map_err(|e| format!("--kernel: {e}")),
-    }
 }
 
 /// Train with the serial Lloyd reference and freeze the model to disk.
@@ -127,7 +121,8 @@ pub fn cmd_predict(args: &Args) -> Result<(), String> {
         ));
     }
     artifact.preprocess(&mut queries);
-    let index = ShardedIndex::from_artifact(&artifact, shards).with_kernel(parse_kernel(args)?);
+    let index =
+        ShardedIndex::from_artifact(&artifact, shards).with_kernel(parse_assign_kernel(args)?);
     println!(
         "model: k={} d={} (trained on {} samples, objective {:.5}); {} shard(s), {:?} kernel",
         artifact.meta.k,
@@ -254,14 +249,17 @@ pub fn cmd_serve_bench(args: &Args) -> Result<(), String> {
     if dispatch.shard_queue == 0 || dispatch.tick.is_zero() {
         return Err("--shard-queue and --tick-us must be positive".into());
     }
-    let ramp = args.get_str("ramp").is_some().then(|| -> Result<_, String> {
-        Ok(RampConfig {
-            base_clients: load.clients,
-            peak_clients: args.get_or("ramp-peak", load.clients * 10)?,
-            steps_up: args.get_or("ramp-steps", 4usize)?,
-            requests_per_client: load.requests_per_client,
-        })
-    });
+    let ramp = args
+        .get_str("ramp")
+        .is_some()
+        .then(|| -> Result<_, String> {
+            Ok(RampConfig {
+                base_clients: load.clients,
+                peak_clients: args.get_or("ramp-peak", load.clients * 10)?,
+                steps_up: args.get_or("ramp-steps", 4usize)?,
+                requests_per_client: load.requests_per_client,
+            })
+        });
     let ramp = ramp.transpose()?;
     if let Some(r) = &ramp {
         if r.steps_up == 0 || r.peak_clients < r.base_clients {
@@ -302,7 +300,7 @@ pub fn cmd_serve_bench(args: &Args) -> Result<(), String> {
     // that long into the load run; the pipeline re-dispatches to the
     // survivors and marks replies degraded.
     let kill_plan = crate::parse_fault_plan(args)?;
-    let kernel = parse_kernel(args)?;
+    let kernel = parse_assign_kernel(args)?;
     let index = ShardedIndex::from_artifact(&artifact, shards).with_kernel(kernel);
     // `--trace-out trace.json [--trace-sample N]`: record per-request
     // pipeline spans into a bounded ring and arm a flight recorder whose

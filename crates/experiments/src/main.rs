@@ -44,7 +44,7 @@ const EXPERIMENTS: [&str; 19] = [
 ];
 
 fn usage() -> ! {
-    eprintln!("usage: experiments [--out DIR] [--kernel scalar|expanded|tiled] <experiment>...");
+    eprintln!("usage: experiments [--out DIR] [--kernel scalar|gemm] <experiment>...");
     eprintln!("experiments: {} | all", EXPERIMENTS.join(" | "));
     std::process::exit(2);
 }

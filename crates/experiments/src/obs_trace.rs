@@ -188,10 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_trace_runs_with_the_tiled_kernel() {
-        let r = phase_trace_with(AssignKernel::Tiled);
+    fn phase_trace_runs_with_the_gemm_kernel() {
+        let r = phase_trace_with(AssignKernel::Gemm);
         assert_eq!(r.rows.len(), 3);
-        assert!(r.notes.iter().any(|n| n.contains("tiled")), "{:?}", r.notes);
+        assert!(r.notes.iter().any(|n| n.contains("gemm")), "{:?}", r.notes);
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub struct HierConfig {
     pub tol: f64,
     /// Assign kernel every rank's inner loop runs (see
     /// [`kmeans_core::AssignKernel`]). `Scalar` is bit-identical to the
-    /// serial reference; `Expanded`/`Tiled` use the norm expansion and may
-    /// resolve exact ties differently.
+    /// serial reference; `Gemm` uses the norm expansion and may resolve
+    /// near-exact ties differently.
     pub kernel: AssignKernel,
     /// Update path (see [`kmeans_core::UpdateMode`]). All modes produce
     /// bitwise-identical centroids, labels and objective for a given

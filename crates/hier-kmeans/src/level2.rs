@@ -171,7 +171,7 @@ pub(crate) fn run<S: Scalar>(
             }
             // ---- Assign: partial argmin over my shard (lines 9–10), via
             // the configured kernel. One plan per iteration = shard norms
-            // recomputed once per Update. Under Expanded/Tiled the merge
+            // recomputed once per Update. Under Gemm the merge
             // key is `‖x‖² + ‖c‖² − 2·x·c`; `‖x‖²` is computed identically
             // on every member, so keys stay comparable across the group.
             let t0 = std::time::Instant::now();
@@ -577,25 +577,16 @@ mod tests {
     }
 
     #[test]
-    fn expanded_and_tiled_kernels_match_scalar() {
+    fn gemm_kernel_matches_scalar() {
         let data = random_data(150, 5, 21);
         let init = init_centroids(&data, 8, InitMethod::Forgy, 13);
         let reference = run(&data, init.clone(), &cfg(8, 4, 5)).unwrap();
-        for kernel in [
-            AssignKernel::Expanded,
-            AssignKernel::Tiled,
-            AssignKernel::Gemm,
-        ] {
-            let mut c = cfg(8, 4, 5);
-            c.kernel = kernel;
-            let r = run(&data, init.clone(), &c).unwrap();
-            assert_eq!(r.labels, reference.labels, "{kernel}");
-            assert!(
-                r.centroids.max_abs_diff(&reference.centroids) < 1e-9,
-                "{kernel}"
-            );
-            assert_eq!(r.kernel, kernel);
-        }
+        let mut c = cfg(8, 4, 5);
+        c.kernel = AssignKernel::Gemm;
+        let r = run(&data, init.clone(), &c).unwrap();
+        assert_eq!(r.labels, reference.labels);
+        assert!(r.centroids.max_abs_diff(&reference.centroids) < 1e-9);
+        assert_eq!(r.kernel, AssignKernel::Gemm);
     }
 
     #[test]

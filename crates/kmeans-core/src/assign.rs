@@ -1,41 +1,37 @@
 //! The batch-assign kernel layer: one entry point for the Assign phase,
-//! with three interchangeable kernels behind it.
+//! with two interchangeable kernels behind it.
 //!
 //! * [`AssignKernel::Scalar`] — the exact reference: per-sample
 //!   subtract-square scans (`sq_euclidean_unrolled`), bit-identical to
 //!   [`crate::distance::argmin_centroid`] and to the seed executors.
-//! * [`AssignKernel::Expanded`] — the norm expansion
-//!   `‖x−c‖² = ‖x‖² + ‖c‖² − 2·x·c` with `‖c‖²` precomputed once per plan
-//!   (i.e. once per Update), one dot product per centroid.
-//! * [`AssignKernel::Tiled`] — the expansion evaluated tile-by-tile: a tile
-//!   of T samples against a tile of B centroids at a time, with a 4×4
-//!   register-blocked micro-dot-product inside each tile. Tile sizes come
-//!   from the LDM budget ([`TileShape::for_budget`]), so host cache
-//!   blocking mirrors the paper's 64 KB scratchpad tiling (constraint C1).
-//! * [`AssignKernel::Gemm`] — the expansion computed as a cache-blocked
-//!   GEMM: score blocks are `−2·X·Cᵀ` plus broadcast centroid norms,
-//!   evaluated by a 4×8 register-tiled micro kernel over *packed* operands
+//! * [`AssignKernel::Gemm`] — the norm expansion
+//!   `‖x−c‖² = ‖x‖² + ‖c‖² − 2·x·c` computed as a cache-blocked GEMM:
+//!   score blocks are `−2·X·Cᵀ` plus broadcast centroid norms, evaluated by
+//!   a 4×8 register-tiled micro kernel over *packed* operands
 //!   (column-interleaved sample blocks and centroid panels), reduced to an
 //!   argmin per row block. Packing turns the inner loop into contiguous
-//!   broadcast-×-panel multiplies, the vectorisable form the tiled
-//!   kernel's strided row walks deny the compiler. Block shape comes from
-//!   [`GemmBlocking::for_budget`] (or a `perf-model` cost-model override),
-//!   and [`AssignPlanner`] caches norms and packed panels across
-//!   delta-update iterations, invalidating only rows that moved.
+//!   broadcast-×-panel multiplies, the vectorisable form strided row walks
+//!   deny the compiler. Block shape comes from [`GemmBlocking::for_budget`]
+//!   — host cache blocking mirroring the paper's 64 KB scratchpad tiling
+//!   (constraint C1) — or a `perf-model` cost-model override, and
+//!   [`AssignPlanner`] caches norms and packed panels across delta-update
+//!   iterations, invalidating only rows that moved.
 //!
-//! All four kernels preserve the workspace-wide lowest-index tie-break:
+//! Both kernels preserve the workspace-wide lowest-index tie-break:
 //! candidates are scanned in ascending centroid index with a strict `<`
-//! comparison, and — decisively for distributed min-loc merges — the tiled
-//! kernel accumulates every dot product in plain ascending-dimension order,
-//! so two bitwise-equal centroid rows produce bitwise-equal scores no
-//! matter where they land in the tile grid.
+//! comparison, and — decisively for distributed min-loc merges — the GEMM
+//! kernel accumulates every dot product in plain ascending-dimension order
+//! ([`dot_sliced_linear`]), so two bitwise-equal centroid rows produce
+//! bitwise-equal scores no matter where they land in the panel grid, and
+//! the per-pair scan ([`AssignPlan::score_pair`]) reproduces the blocked
+//! kernel bit for bit.
 //!
 //! For Level 3 the plan carries the per-CPE dimension slices: dots and
 //! norms are computed per slice and summed, which is exact because dot
 //! products are additive over disjoint dimension slices (the same identity
 //! the sliced squared distance relies on).
 
-use crate::distance::{argmin_centroid_range, dot_unrolled, sq_euclidean_unrolled};
+use crate::distance::{argmin_centroid_range, sq_euclidean_unrolled};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use std::ops::Range;
@@ -43,12 +39,6 @@ use std::ops::Range;
 /// LDM capacity of one SW26010 CPE — the default blocking budget when the
 /// caller does not thread `sw-arch`'s machine parameters through.
 pub const LDM_BYTES_DEFAULT: usize = 64 * 1024;
-
-/// Micro-kernel block edge: 4 samples × 4 centroids = 16 independent
-/// accumulators per inner loop (Rust's strict FP semantics make the
-/// accumulator count the instruction-level parallelism).
-const MR: usize = 4;
-const NR: usize = 4;
 
 /// GEMM micro-kernel block edges: 4 packed sample lanes × 8 packed
 /// centroid lanes = 32 independent accumulators, and the 8 contiguous
@@ -64,57 +54,44 @@ pub enum AssignKernel {
     /// Exact subtract-square scan — bit-identical to the serial reference.
     #[default]
     Scalar,
-    /// Norm expansion with per-plan centroid norms (`CentroidNorms` made
-    /// load-bearing): numerically different from `Scalar`, so labels can
-    /// differ on near-exact ties.
-    Expanded,
-    /// Norm expansion over LDM-sized sample×centroid tiles with a 4×4
-    /// register-blocked micro-dot kernel.
-    Tiled,
-    /// The expansion as a cache-blocked GEMM over packed operands with a
-    /// 4×8 register-tiled micro kernel. Bitwise-identical scores to
-    /// `Tiled` — every per-pair dot accumulates in the same canonical
-    /// ascending-dimension order ([`dot_sliced_linear`]).
+    /// The norm expansion as a cache-blocked GEMM over packed operands
+    /// with a 4×8 register-tiled micro kernel. Numerically different from
+    /// `Scalar` (labels can differ on near-exact ties), but its keys are
+    /// bitwise those of the per-pair scan [`AssignPlan::score_pair`] — every
+    /// dot accumulates in the canonical ascending-dimension order
+    /// ([`dot_sliced_linear`]).
     Gemm,
 }
 
 impl AssignKernel {
-    pub const ALL: [AssignKernel; 4] = [
-        AssignKernel::Scalar,
-        AssignKernel::Expanded,
-        AssignKernel::Tiled,
-        AssignKernel::Gemm,
-    ];
+    pub const ALL: [AssignKernel; 2] = [AssignKernel::Scalar, AssignKernel::Gemm];
 
     /// Stable lowercase name (CLI vocabulary and metrics labels).
     pub fn name(self) -> &'static str {
         match self {
             AssignKernel::Scalar => "scalar",
-            AssignKernel::Expanded => "expanded",
-            AssignKernel::Tiled => "tiled",
             AssignKernel::Gemm => "gemm",
         }
     }
 
-    /// Stable numeric code for gauge export (`0 = scalar`, `1 = expanded`,
-    /// `2 = tiled`, `3 = gemm`).
+    /// Stable numeric code for gauge export (`0 = scalar`, `3 = gemm`; the
+    /// retired expanded and tiled kernels held 1 and 2).
     pub fn code(self) -> u32 {
         match self {
             AssignKernel::Scalar => 0,
-            AssignKernel::Expanded => 1,
-            AssignKernel::Tiled => 2,
             AssignKernel::Gemm => 3,
         }
     }
 
-    /// Parse a CLI spelling. Accepts the legacy serving names (`exact`,
-    /// `norm-trick`) as aliases so existing invocations keep working. The
-    /// error enumerates the valid names from [`AssignKernel::ALL`], so the
-    /// message cannot drift as variants are added.
+    /// Parse a CLI spelling. Accepts the legacy names `exact` (scalar) and
+    /// `tiled` (gemm, which scores bitwise-identically to the retired tiled
+    /// kernel) so existing invocations keep working. The error enumerates
+    /// the valid names from [`AssignKernel::ALL`], so the message cannot
+    /// drift as variants change.
     pub fn parse(s: &str) -> Result<AssignKernel, String> {
         match s {
             "exact" => return Ok(AssignKernel::Scalar),
-            "norm-trick" => return Ok(AssignKernel::Expanded),
+            "tiled" => return Ok(AssignKernel::Gemm),
             _ => {}
         }
         AssignKernel::ALL
@@ -141,49 +118,6 @@ impl std::str::FromStr for AssignKernel {
     }
 }
 
-/// The tile grid of the blocked kernel: `samples × centroids` rows per
-/// tile, sized so one tile's working set fits the LDM budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileShape {
-    /// Sample rows per tile (the paper's T).
-    pub samples: usize,
-    /// Centroid rows per tile (the paper's B).
-    pub centroids: usize,
-}
-
-impl TileShape {
-    /// Derive tile sizes from an LDM budget, mirroring constraint C1: a
-    /// sample tile (`T·d`), a centroid tile (`B·d`), the `T×B` score block
-    /// and the per-row norm/`‖x‖²` vectors must all fit in `ldm_bytes`.
-    /// The centroid tile gets at most a third of the budget; the sample
-    /// tile takes what remains. Both edges round down to multiples of the
-    /// 4×4 micro-kernel when possible and clamp to at least 1 — a 1×1 tile
-    /// is the host-side analogue of the paper's spill-to-DDR regime (a row
-    /// alone exceeds the scratchpad).
-    pub fn for_budget(ldm_bytes: usize, d: usize, elem_bytes: usize) -> TileShape {
-        let row = d.max(1) * elem_bytes.max(1);
-        let round = |v: usize| if v >= MR { v - v % MR } else { v };
-        let b = round((ldm_bytes / (3 * row)).clamp(1, 512)).max(1);
-        let remaining = ldm_bytes.saturating_sub(b * row + b * elem_bytes);
-        // Each extra sample row costs its data (`row`), one score row
-        // (`b·e`) and one `‖x‖²` slot.
-        let t = round((remaining / (row + (b + 1) * elem_bytes)).clamp(1, 512)).max(1);
-        TileShape {
-            samples: t,
-            centroids: b,
-        }
-    }
-
-    /// Bytes one tile's working set occupies under this shape.
-    pub fn footprint_bytes(&self, d: usize, elem_bytes: usize) -> usize {
-        let row = d.max(1) * elem_bytes;
-        self.samples * row                       // sample tile
-            + self.centroids * row               // centroid tile
-            + self.samples * self.centroids * elem_bytes // score block
-            + (self.samples + self.centroids) * elem_bytes // ‖x‖² + norms
-    }
-}
-
 /// Cache-block shape of the GEMM kernel: `mc` packed sample rows stay
 /// resident while packed centroid panels stream through in chunks of `nc`
 /// rows.
@@ -193,8 +127,7 @@ impl TileShape {
 /// sample block — panel traffic is `(n/mc)·k·d·e` bytes against sample
 /// traffic of `n·d·e` — while the resident working set `(mc + nc)·d·e`
 /// must fit the budget. Splitting the budget evenly between the resident
-/// block and the streamed chunk balances the two streams instead of
-/// hardcoding the tiled kernel's third/two-thirds split.
+/// block and the streamed chunk balances the two streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmBlocking {
     /// Sample rows per resident block.
@@ -230,40 +163,66 @@ impl GemmBlocking {
 }
 
 /// A prepared Assign pass over one centroid set: the selected kernel plus
-/// everything derived from the centroids (norms, tile shape, dimension
+/// everything derived from the centroids (norms, packed panels, dimension
 /// slices). Build it once per Update — the executors rebuild after every
-/// centroid movement, which is exactly the "norms recomputed once per
-/// Update" amortisation [`crate::distance::CentroidNorms`] documents.
+/// centroid movement, so the `O(k·d)` norm and packing work is amortised
+/// over all n samples.
 ///
 /// The plan does not borrow the centroid matrix; every call takes it
 /// explicitly and asserts the shape still matches, so a stale plan fails
 /// loudly instead of scoring against moved centroids.
 #[derive(Debug, Clone)]
 pub struct AssignPlan<S: Scalar> {
-    kernel: AssignKernel,
     /// Centroid row/column counts the plan was built against.
     k: usize,
     d: usize,
-    /// `‖c_j‖²` per centroid row; empty for [`AssignKernel::Scalar`].
-    norms: Vec<S>,
-    tile: TileShape,
     /// Per-CPE dimension slices (Level 3); `None` means whole rows.
     slices: Option<Vec<Range<usize>>>,
-    /// Packed centroid panels + block shape; `Some` iff `kernel == Gemm`.
+    /// The GEMM kernel's norms, panels and block shape; `None` is the
+    /// [`AssignKernel::Scalar`] kernel, which derives nothing.
     gemm: Option<GemmState<S>>,
 }
 
-/// The GEMM kernel's prepared centroid side: the block shape plus the
-/// centroid rows packed into `GEMM_NR`-wide column-interleaved panels.
-/// Panel `p` stores dimension `u` of absolute centroid row `p·8 + jj` at
-/// element `u·8 + jj`; lanes past `k` are zero — padded lanes feed
-/// accumulators the argmin fold never reads, so they cannot perturb real
-/// scores. Panels sit behind an `Arc` so cloned plans (serve's sharded
-/// index) and the caching [`AssignPlanner`] share one packing.
+/// The GEMM kernel's prepared centroid side: the block shape, `‖c_j‖²` per
+/// centroid row (linear-order dots, so identical rows get identical
+/// scores), and the centroid rows packed into `GEMM_NR`-wide
+/// column-interleaved panels. Panel `p` stores dimension `u` of absolute
+/// centroid row `p·8 + jj` at element `u·8 + jj`; lanes past `k` are zero
+/// — padded lanes feed accumulators the argmin fold never reads, so they
+/// cannot perturb real scores. Panels sit behind an `Arc` so cloned plans
+/// (serve's sharded index) and the caching [`AssignPlanner`] share one
+/// packing.
 #[derive(Debug, Clone)]
 struct GemmState<S: Scalar> {
     blocking: GemmBlocking,
+    norms: Vec<S>,
     panels: std::sync::Arc<Vec<S>>,
+}
+
+impl<S: Scalar> GemmState<S> {
+    /// Ascending-index strict-`<` scan of `‖c‖² − 2·x·c` with per-pair
+    /// linear dots — the blocked kernel's arithmetic one pair at a time.
+    /// Returns the winning absolute row and score.
+    fn score_scan(
+        &self,
+        sample: &[S],
+        centroids: &Matrix<S>,
+        crows: &Range<usize>,
+        sl: &[Range<usize>],
+    ) -> (usize, S) {
+        let two = S::from_f64(2.0);
+        let dot = |j: usize| dot_sliced_linear(sample, centroids.row(j), sl);
+        let mut best_j = crows.start;
+        let mut best = self.norms[crows.start] - two * dot(crows.start);
+        for j in crows.start + 1..crows.end {
+            let score = self.norms[j] - two * dot(j);
+            if score < best {
+                best = score;
+                best_j = j;
+            }
+        }
+        (best_j, best)
+    }
 }
 
 /// Accumulation target of the fused assign–accumulate path: per-cluster
@@ -310,42 +269,22 @@ impl<S: Scalar> AssignPlan<S> {
         }
         let full = 0..d;
         let sl: &[Range<usize>] = slices.as_deref().unwrap_or(std::slice::from_ref(&full));
-        let norms = match kernel {
-            AssignKernel::Scalar => Vec::new(),
-            AssignKernel::Expanded => (0..k)
-                .map(|j| {
-                    let row = centroids.row(j);
-                    dot_sliced_unrolled(row, row, sl)
-                })
-                .collect(),
-            // The tiled and GEMM kernels accumulate every dot in linear
-            // order, so their norms must too (identical rows ⇒ identical
-            // scores).
-            AssignKernel::Tiled | AssignKernel::Gemm => (0..k)
+        let gemm = (kernel == AssignKernel::Gemm).then(|| GemmState {
+            blocking: GemmBlocking::for_budget(ldm_bytes, d, S::BYTES),
+            norms: (0..k)
                 .map(|j| {
                     let row = centroids.row(j);
                     dot_sliced_linear(row, row, sl)
                 })
                 .collect(),
-        };
-        let gemm = (kernel == AssignKernel::Gemm).then(|| GemmState {
-            blocking: GemmBlocking::for_budget(ldm_bytes, d, S::BYTES),
             panels: std::sync::Arc::new(pack_centroid_panels(centroids)),
         });
-        AssignPlan {
-            kernel,
-            k,
-            d,
-            norms,
-            tile: TileShape::for_budget(ldm_bytes, d, S::BYTES),
-            slices,
-            gemm,
-        }
+        AssignPlan { k, d, slices, gemm }
     }
 
     /// Override the GEMM block shape with `perf-model`'s cost-driven
-    /// choice (threaded through by the executors). No-op for the other
-    /// kernels, and never repacks: panels are blocking-independent.
+    /// choice (threaded through by the executors). No-op for the scalar
+    /// kernel, and never repacks: panels are blocking-independent.
     pub fn with_blocking(mut self, blocking: GemmBlocking) -> Self {
         if let Some(g) = self.gemm.as_mut() {
             g.blocking = GemmBlocking::new(blocking.mc, blocking.nc);
@@ -353,17 +292,16 @@ impl<S: Scalar> AssignPlan<S> {
         self
     }
 
-    /// The GEMM block shape in effect (`None` for the other kernels).
+    /// The GEMM block shape in effect (`None` for the scalar kernel).
     pub fn blocking(&self) -> Option<GemmBlocking> {
         self.gemm.as_ref().map(|g| g.blocking)
     }
 
     pub fn kernel(&self) -> AssignKernel {
-        self.kernel
-    }
-
-    pub fn tile(&self) -> TileShape {
-        self.tile
+        match self.gemm {
+            None => AssignKernel::Scalar,
+            Some(_) => AssignKernel::Gemm,
+        }
     }
 
     fn check(&self, centroids: &Matrix<S>, crows: &Range<usize>) {
@@ -382,7 +320,7 @@ impl<S: Scalar> AssignPlan<S> {
     /// sample (in `srows` order) to `out`. The index is reported from
     /// `global_offset` (i.e. `global_offset + (winner − crows.start)`),
     /// matching [`argmin_centroid_range`]. The key is the exact squared
-    /// distance for `Scalar`; for `Expanded`/`Tiled` it is
+    /// distance for `Scalar`; for `Gemm` it is
     /// `‖x‖² + ‖c‖² − 2·x·c` — the same quantity up to floating-point
     /// reassociation, and computed identically on every rank, so keys stay
     /// comparable across distributed min-loc merges.
@@ -406,14 +344,14 @@ impl<S: Scalar> AssignPlan<S> {
     /// slot per `crows` row; both are accumulated into, not zeroed.
     ///
     /// Bitwise discipline: samples fold in ascending `srows` order — the
-    /// scalar and expanded kernels accumulate immediately after scoring
-    /// each sample, and the tiled kernel flushes each sample tile in
-    /// ascending order after its centroid sweep (tiles are visited in
-    /// ascending order, so the global fold sequence per cluster is the
-    /// ascending sample order the two-pass sweep uses). A plan carrying
-    /// Level-3 dimension slices folds per slice, modelling each CPE
-    /// accumulating its own dimension slice; per-element addition makes
-    /// this bitwise-identical to a whole-row fold.
+    /// scalar kernel accumulates immediately after scoring each sample,
+    /// and the GEMM kernel flushes each sample block in ascending order
+    /// after its panel sweep (blocks are visited in ascending order, so the
+    /// global fold sequence per cluster is the ascending sample order the
+    /// two-pass sweep uses). A plan carrying Level-3 dimension slices folds
+    /// per slice, modelling each CPE accumulating its own dimension slice;
+    /// per-element addition makes this bitwise-identical to a whole-row
+    /// fold.
     #[allow(clippy::too_many_arguments)]
     pub fn assign_accumulate_into(
         &self,
@@ -453,19 +391,9 @@ impl<S: Scalar> AssignPlan<S> {
         self.check(centroids, &crows);
         assert_eq!(data.cols(), self.d, "sample dimension mismatch");
         out.reserve(srows.len());
-        match self.kernel {
-            AssignKernel::Scalar => {
-                self.scalar_batch(data, srows, centroids, crows, global_offset, out, acc)
-            }
-            AssignKernel::Expanded => {
-                self.expanded_batch(data, srows, centroids, crows, global_offset, out, acc)
-            }
-            AssignKernel::Tiled => {
-                self.tiled_batch(data, srows, centroids, crows, global_offset, out, acc)
-            }
-            AssignKernel::Gemm => {
-                self.gemm_batch(data, srows, centroids, crows, global_offset, out, acc)
-            }
+        match &self.gemm {
+            None => self.scalar_batch(data, srows, centroids, crows, global_offset, out, acc),
+            Some(st) => self.gemm_batch(st, data, srows, crows, global_offset, out, acc),
         }
     }
 
@@ -509,50 +437,33 @@ impl<S: Scalar> AssignPlan<S> {
             .slices
             .as_deref()
             .unwrap_or(std::slice::from_ref(&full));
-        match self.kernel {
-            AssignKernel::Scalar => match &self.slices {
-                None => {
-                    let (j, dist) = argmin_centroid_range(sample, centroids, crows, global_offset);
-                    (j as u32, dist)
-                }
-                Some(sl) => {
-                    let (j, dist) = scalar_sliced_argmin(sample, centroids, &crows, sl);
-                    ((global_offset + (j - crows.start)) as u32, dist)
-                }
-            },
-            AssignKernel::Expanded | AssignKernel::Tiled | AssignKernel::Gemm => {
+        match (&self.gemm, &self.slices) {
+            (None, None) => {
+                let (j, dist) = argmin_centroid_range(sample, centroids, crows, global_offset);
+                (j as u32, dist)
+            }
+            (None, Some(sl)) => {
+                let (j, dist) = scalar_sliced_argmin(sample, centroids, &crows, sl);
+                ((global_offset + (j - crows.start)) as u32, dist)
+            }
+            (Some(st), _) => {
                 // One sample degenerates the block grid to a column of
-                // per-pair dots — identical values to the blocked paths by
-                // the shared accumulation order of [`AssignPlan::pair_dot`].
-                let x2 = self.pair_dot(sample, sample, sl);
-                let (j, score) =
-                    self.score_scan(sample, centroids, &crows, |a, b| self.pair_dot(a, b, sl));
+                // per-pair dots — identical values to the blocked path by
+                // the shared accumulation order of [`dot_sliced_linear`].
+                let x2 = dot_sliced_linear(sample, sample, sl);
+                let (j, score) = st.score_scan(sample, centroids, &crows, sl);
                 ((global_offset + (j - crows.start)) as u32, x2 + score)
             }
         }
     }
 
-    /// The one per-pair dot kernel behind [`AssignPlan::score_pair`],
-    /// [`AssignPlan::key_to_dist`] and [`AssignPlan::assign_one`]: 4-way
-    /// unrolled for `Expanded`, the canonical ascending (linear) order for
-    /// `Tiled`/`Gemm` — the exact per-pair sequence their blocked kernels
-    /// reproduce. `Scalar` takes the subtract-square path and never calls
-    /// it.
-    #[inline]
-    fn pair_dot(&self, a: &[S], b: &[S], sl: &[Range<usize>]) -> S {
-        match self.kernel {
-            AssignKernel::Expanded => dot_sliced_unrolled(a, b, sl),
-            _ => dot_sliced_linear(a, b, sl),
-        }
-    }
-
     /// The exact comparison key the full scan evaluates for the single
     /// pair (`sample`, centroid row `j`): the squared distance for
-    /// `Scalar`, the `‖c‖² − 2·x·c` score for `Expanded`/`Tiled`.
+    /// `Scalar`, the `‖c‖² − 2·x·c` score for `Gemm`.
     ///
-    /// Per-pair keys are batch-independent — the tiled micro kernel and
-    /// every edge fallback accumulate each dot in the same ascending order
-    /// (see [`dot_sliced_linear`]) — so a scan that lexicographically
+    /// Per-pair keys are batch-independent — the GEMM micro kernel
+    /// accumulates each dot in the same ascending order as
+    /// [`dot_sliced_linear`] — so a scan that lexicographically
     /// minimises `(score_pair, j)` over *any* candidate subset reproduces
     /// the batch scan's winner over that subset bit for bit. This is what
     /// lets the delta update path rescore only the centroids that moved.
@@ -563,63 +474,34 @@ impl<S: Scalar> AssignPlan<S> {
             .slices
             .as_deref()
             .unwrap_or(std::slice::from_ref(&full));
-        let two = S::from_f64(2.0);
         let row = centroids.row(j);
-        match self.kernel {
-            AssignKernel::Scalar => match &self.slices {
-                None => sq_euclidean_unrolled(sample, row),
-                Some(sl) => {
-                    let mut acc = S::ZERO;
-                    for r in sl {
-                        acc += sq_euclidean_unrolled(&sample[r.clone()], &row[r.clone()]);
-                    }
-                    acc
+        match (&self.gemm, &self.slices) {
+            (None, None) => sq_euclidean_unrolled(sample, row),
+            (None, Some(sl)) => {
+                let mut acc = S::ZERO;
+                for r in sl {
+                    acc += sq_euclidean_unrolled(&sample[r.clone()], &row[r.clone()]);
                 }
-            },
-            AssignKernel::Expanded | AssignKernel::Tiled | AssignKernel::Gemm => {
-                self.norms[j] - two * self.pair_dot(sample, row, sl)
+                acc
             }
+            (Some(st), _) => st.norms[j] - S::from_f64(2.0) * dot_sliced_linear(sample, row, sl),
         }
     }
 
     /// Convert a winning [`AssignPlan::score_pair`] key into the distance
     /// value [`AssignPlan::assign_batch_into`] reports for that sample
-    /// (`‖x‖²` is added back for the expanded forms, in the same order the
-    /// batch kernels use).
+    /// (`‖x‖²` is added back for `Gemm`, in the same order the batch
+    /// kernel uses).
     pub fn key_to_dist(&self, sample: &[S], key: S) -> S {
         let full = 0..self.d;
         let sl: &[Range<usize>] = self
             .slices
             .as_deref()
             .unwrap_or(std::slice::from_ref(&full));
-        match self.kernel {
-            AssignKernel::Scalar => key,
-            AssignKernel::Expanded | AssignKernel::Tiled | AssignKernel::Gemm => {
-                self.pair_dot(sample, sample, sl) + key
-            }
+        match self.gemm {
+            None => key,
+            Some(_) => dot_sliced_linear(sample, sample, sl) + key,
         }
-    }
-
-    /// Ascending-index strict-`<` scan of `‖c‖² − 2·x·c` with a caller-
-    /// supplied dot kernel. Returns the winning absolute row and score.
-    fn score_scan(
-        &self,
-        sample: &[S],
-        centroids: &Matrix<S>,
-        crows: &Range<usize>,
-        dot: impl Fn(&[S], &[S]) -> S,
-    ) -> (usize, S) {
-        let two = S::from_f64(2.0);
-        let mut best_j = crows.start;
-        let mut best = self.norms[crows.start] - two * dot(sample, centroids.row(crows.start));
-        for j in crows.start + 1..crows.end {
-            let score = self.norms[j] - two * dot(sample, centroids.row(j));
-            if score < best {
-                best = score;
-                best_j = j;
-            }
-        }
-        (best_j, best)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -656,161 +538,6 @@ impl<S: Scalar> AssignPlan<S> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn expanded_batch(
-        &self,
-        data: &Matrix<S>,
-        srows: Range<usize>,
-        centroids: &Matrix<S>,
-        crows: Range<usize>,
-        global_offset: usize,
-        out: &mut Vec<(u32, S)>,
-        mut acc: Option<Acc<'_, S>>,
-    ) {
-        let full = 0..self.d;
-        let sl: &[Range<usize>] = self
-            .slices
-            .as_deref()
-            .unwrap_or(std::slice::from_ref(&full));
-        for i in srows {
-            let sample = data.row(i);
-            let x2 = dot_sliced_unrolled(sample, sample, sl);
-            let (j, score) = self.score_scan(sample, centroids, &crows, |a, b| {
-                dot_sliced_unrolled(a, b, sl)
-            });
-            out.push(((global_offset + (j - crows.start)) as u32, x2 + score));
-            if let Some(acc) = acc.as_mut() {
-                self.fold_sample(acc, j - crows.start, sample);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn tiled_batch(
-        &self,
-        data: &Matrix<S>,
-        srows: Range<usize>,
-        centroids: &Matrix<S>,
-        crows: Range<usize>,
-        global_offset: usize,
-        out: &mut Vec<(u32, S)>,
-        mut acc: Option<Acc<'_, S>>,
-    ) {
-        let full = 0..self.d;
-        let sl: &[Range<usize>] = self
-            .slices
-            .as_deref()
-            .unwrap_or(std::slice::from_ref(&full));
-        let two = S::from_f64(2.0);
-        let inf = S::from_f64(f64::INFINITY);
-        let ts = self.tile.samples.max(1);
-        let tc = self.tile.centroids.max(1);
-        let mut x2 = vec![S::ZERO; ts];
-        // (absolute centroid row, running best score) per sample of the tile.
-        let mut best = vec![(u32::MAX, inf); ts];
-        let mut s0 = srows.start;
-        while s0 < srows.end {
-            let s1 = (s0 + ts).min(srows.end);
-            let m = s1 - s0;
-            for (ii, slot) in best.iter_mut().enumerate().take(m) {
-                let row = data.row(s0 + ii);
-                x2[ii] = dot_sliced_linear(row, row, sl);
-                *slot = (u32::MAX, inf);
-            }
-            let mut c0 = crows.start;
-            while c0 < crows.end {
-                let c1 = (c0 + tc).min(crows.end);
-                self.score_tile(data, s0, m, centroids, c0, c1, sl, two, &mut best);
-                c0 = c1;
-            }
-            // Flush the sample tile in ascending order while it is still
-            // cache-resident: with tiles visited in ascending order this
-            // reproduces the two-pass sweep's global ascending-sample fold
-            // per cluster, bit for bit.
-            for ii in 0..m {
-                let (j, score) = best[ii];
-                debug_assert_ne!(j, u32::MAX);
-                out.push((
-                    (global_offset + (j as usize - crows.start)) as u32,
-                    x2[ii] + score,
-                ));
-                if let Some(acc) = acc.as_mut() {
-                    self.fold_sample(acc, j as usize - crows.start, data.row(s0 + ii));
-                }
-            }
-            s0 = s1;
-        }
-    }
-
-    /// Score one sample tile (`m` rows from `s0`) against one centroid
-    /// tile (`c0..c1`), folding winners into `best`. Full 4×4 blocks run
-    /// the register-blocked micro kernel; edge blocks fall back to
-    /// per-pair linear dots, which produce bitwise-identical values
-    /// because both accumulate in ascending-dimension order.
-    #[allow(clippy::too_many_arguments)]
-    fn score_tile(
-        &self,
-        data: &Matrix<S>,
-        s0: usize,
-        m: usize,
-        centroids: &Matrix<S>,
-        c0: usize,
-        c1: usize,
-        sl: &[Range<usize>],
-        two: S,
-        best: &mut [(u32, S)],
-    ) {
-        let mut ii = 0;
-        while ii < m {
-            let mr = (m - ii).min(MR);
-            let mut j = c0;
-            while j < c1 {
-                let nr = (c1 - j).min(NR);
-                if mr == MR && nr == NR {
-                    let a = [
-                        data.row(s0 + ii),
-                        data.row(s0 + ii + 1),
-                        data.row(s0 + ii + 2),
-                        data.row(s0 + ii + 3),
-                    ];
-                    let b = [
-                        centroids.row(j),
-                        centroids.row(j + 1),
-                        centroids.row(j + 2),
-                        centroids.row(j + 3),
-                    ];
-                    let mut acc = [[S::ZERO; NR]; MR];
-                    for r in sl {
-                        micro_dots_4x4(&a, &b, r.clone(), &mut acc);
-                    }
-                    for (bi, row) in acc.iter().enumerate() {
-                        let slot = &mut best[ii + bi];
-                        for (bj, &dot) in row.iter().enumerate() {
-                            let score = self.norms[j + bj] - two * dot;
-                            if score < slot.1 {
-                                *slot = ((j + bj) as u32, score);
-                            }
-                        }
-                    }
-                } else {
-                    for bi in 0..mr {
-                        let sample = data.row(s0 + ii + bi);
-                        let slot = &mut best[ii + bi];
-                        for bj in 0..nr {
-                            let dot = dot_sliced_linear(sample, centroids.row(j + bj), sl);
-                            let score = self.norms[j + bj] - two * dot;
-                            if score < slot.1 {
-                                *slot = ((j + bj) as u32, score);
-                            }
-                        }
-                    }
-                }
-                j += nr;
-            }
-            ii += mr;
-        }
-    }
-
     /// The cache-blocked GEMM path: a resident block of `mc` packed sample
     /// rows is scored against the streamed packed centroid panels, `nc`
     /// rows per chunk, with the 4×8 register-tiled micro kernel computing
@@ -820,21 +547,21 @@ impl<S: Scalar> AssignPlan<S> {
     /// Bitwise discipline: the micro kernel advances each of its 32
     /// accumulators in canonical ascending-dimension order, so every
     /// (sample, centroid) dot is bitwise-equal to [`dot_sliced_linear`]
-    /// and the whole path scores bitwise-identically to `Tiled`. Panels
-    /// are folded in ascending order per sample, edge panels/blocks are
-    /// zero-padded (their padded lanes feed accumulators the fold clamps
-    /// away via `crows`), and the block flushes in ascending sample order —
-    /// the same fused-fold discipline as the tiled kernel. `crows` may
-    /// start or end mid-panel (serve's shard subranges); the fold clamp
-    /// handles that too, since panels always cover absolute rows `0..k`.
+    /// and the whole path scores bitwise-identically to the per-pair scan
+    /// ([`AssignPlan::score_pair`]). Panels are folded in ascending order
+    /// per sample, edge panels/blocks are zero-padded (their padded lanes
+    /// feed accumulators the fold clamps away via `crows`), and the block
+    /// flushes in ascending sample order. `crows` may start or end
+    /// mid-panel (serve's shard subranges); the fold clamp handles that
+    /// too, since panels always cover absolute rows `0..k`.
     #[allow(clippy::too_many_arguments)]
     fn gemm_batch(
         &self,
+        // Scores come from the packed panels; `dispatch` already verified
+        // the centroid matrix still matches the plan's shape.
+        st: &GemmState<S>,
         data: &Matrix<S>,
         srows: Range<usize>,
-        // Scores come from the packed panels; `dispatch` already verified
-        // the matrix still matches the plan's shape.
-        _centroids: &Matrix<S>,
         crows: Range<usize>,
         global_offset: usize,
         out: &mut Vec<(u32, S)>,
@@ -845,7 +572,6 @@ impl<S: Scalar> AssignPlan<S> {
             .slices
             .as_deref()
             .unwrap_or(std::slice::from_ref(&full));
-        let st = self.gemm.as_ref().expect("gemm plan without packed state");
         let d = self.d;
         let two = S::from_f64(2.0);
         let inf = S::from_f64(f64::INFINITY);
@@ -894,7 +620,7 @@ impl<S: Scalar> AssignPlan<S> {
                         for (ii, drow) in dots.iter().enumerate().take(rows) {
                             let slot = &mut best[g * GEMM_MR + ii];
                             for j in lo..hi {
-                                let score = self.norms[j] - two * drow[j - jbase];
+                                let score = st.norms[j] - two * drow[j - jbase];
                                 if score < slot.1 {
                                     *slot = (j as u32, score);
                                 }
@@ -905,8 +631,9 @@ impl<S: Scalar> AssignPlan<S> {
                 pc = pend;
             }
             // Flush the block in ascending sample order while it is still
-            // cache-resident (the fused-fold discipline shared with the
-            // tiled kernel).
+            // cache-resident: with blocks visited in ascending order this
+            // reproduces the two-pass sweep's global ascending-sample fold
+            // per cluster, bit for bit.
             for ii in 0..m {
                 let (j, score) = best[ii];
                 debug_assert_ne!(j, u32::MAX);
@@ -953,9 +680,9 @@ fn scalar_sliced_argmin<S: Scalar>(
 }
 
 /// Plain ascending-order dot product summed over dimension slices. This is
-/// the *canonical accumulation order* of the tiled kernel: the 4×4 micro
-/// kernel and every edge fallback reproduce exactly this sequence of
-/// fused adds per (sample, centroid) pair.
+/// the *canonical accumulation order* of the GEMM kernel: each accumulator
+/// of the 4×8 micro kernel reproduces exactly this sequence of
+/// multiply-adds for its (sample, centroid) pair.
 pub fn dot_sliced_linear<S: Scalar>(a: &[S], b: &[S], slices: &[Range<usize>]) -> S {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = S::ZERO;
@@ -966,39 +693,6 @@ pub fn dot_sliced_linear<S: Scalar>(a: &[S], b: &[S], slices: &[Range<usize>]) -
         }
     }
     acc
-}
-
-/// 4-way-unrolled dot product summed over dimension slices (the Expanded
-/// kernel's dot; matches [`dot_unrolled`] when there is a single slice).
-pub fn dot_sliced_unrolled<S: Scalar>(a: &[S], b: &[S], slices: &[Range<usize>]) -> S {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = S::ZERO;
-    for r in slices {
-        acc += dot_unrolled(&a[r.clone()], &b[r.clone()]);
-    }
-    acc
-}
-
-/// The register-blocked micro kernel: 16 dot-product accumulators advanced
-/// together over `range`, each in ascending-dimension order (bitwise equal
-/// to [`dot_sliced_linear`] restricted to that range). Loading 4 sample
-/// and 4 centroid values per step gives 4× register reuse of each row and
-/// 16 independent FMA chains.
-fn micro_dots_4x4<S: Scalar>(
-    a: &[&[S]; MR],
-    b: &[&[S]; NR],
-    range: Range<usize>,
-    acc: &mut [[S; NR]; MR],
-) {
-    for u in range {
-        let av = [a[0][u], a[1][u], a[2][u], a[3][u]];
-        let bv = [b[0][u], b[1][u], b[2][u], b[3][u]];
-        for (row, &x) in acc.iter_mut().zip(&av) {
-            for (cell, &y) in row.iter_mut().zip(&bv) {
-                *cell += x * y;
-            }
-        }
-    }
 }
 
 /// The GEMM micro kernel: a 4×8 register tile of dot products advanced
@@ -1131,8 +825,7 @@ fn pack_one_panel<S: Scalar>(centroids: &Matrix<S>, p: usize, dst: &mut [S]) {
 }
 
 /// Cumulative cache counters of an [`AssignPlanner`], exported as gauges
-/// by the executors and recorded by the bench snapshot to quantify the
-/// delta-path plan-prep win.
+/// by the executors to quantify the delta-path plan-prep win.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlannerStats {
     /// Plans produced.
@@ -1170,7 +863,6 @@ pub struct AssignPlanner<S: Scalar> {
     d: usize,
     norms: Vec<S>,
     panels: std::sync::Arc<Vec<S>>,
-    tile: TileShape,
     stats: PlannerStats,
 }
 
@@ -1186,10 +878,6 @@ impl<S: Scalar> AssignPlanner<S> {
             d: 0,
             norms: Vec::new(),
             panels: std::sync::Arc::new(Vec::new()),
-            tile: TileShape {
-                samples: 1,
-                centroids: 1,
-            },
             stats: PlannerStats::default(),
         }
     }
@@ -1239,7 +927,7 @@ impl<S: Scalar> AssignPlanner<S> {
     }
 
     fn cache_warm(&self, centroids: &Matrix<S>) -> bool {
-        self.kernel != AssignKernel::Scalar
+        self.kernel == AssignKernel::Gemm
             && self.k == centroids.rows()
             && self.d == centroids.cols()
             && self.snap.len() == self.k * self.d
@@ -1271,22 +959,20 @@ impl<S: Scalar> AssignPlanner<S> {
             plan = plan.with_blocking(b);
         }
         self.stats.plans += 1;
-        if self.kernel != AssignKernel::Scalar {
+        if let Some(g) = &plan.gemm {
             self.stats.rows_refreshed += centroids.rows() as u64;
             self.k = centroids.rows();
             self.d = centroids.cols();
             self.snap.clear();
             self.snap.extend_from_slice(centroids.as_slice());
-            self.norms.clone_from(&plan.norms);
-            self.tile = plan.tile;
-            if let Some(g) = &plan.gemm {
-                self.stats.panels_rebuilt += self.k.div_ceil(GEMM_NR).max(1) as u64;
-                self.panels = g.panels.clone();
-            }
+            self.norms.clone_from(&g.norms);
+            self.stats.panels_rebuilt += self.k.div_ceil(GEMM_NR).max(1) as u64;
+            self.panels = g.panels.clone();
         }
         plan
     }
 
+    /// Reached only through a warm cache, i.e. for the GEMM kernel.
     fn refresh(&mut self, centroids: &Matrix<S>, changed: &[bool]) -> AssignPlan<S> {
         let (k, d) = (self.k, self.d);
         let full = 0..d;
@@ -1296,10 +982,7 @@ impl<S: Scalar> AssignPlanner<S> {
         for (j, &moved) in changed.iter().enumerate() {
             if moved {
                 let row = centroids.row(j);
-                self.norms[j] = match self.kernel {
-                    AssignKernel::Expanded => dot_sliced_unrolled(row, row, sl),
-                    _ => dot_sliced_linear(row, row, sl),
-                };
+                self.norms[j] = dot_sliced_linear(row, row, sl);
                 self.snap[j * d..(j + 1) * d].copy_from_slice(row);
                 refreshed += 1;
             }
@@ -1307,41 +990,37 @@ impl<S: Scalar> AssignPlanner<S> {
         self.stats.plans += 1;
         self.stats.rows_refreshed += refreshed;
         self.stats.rows_reused += k as u64 - refreshed;
-        let gemm = (self.kernel == AssignKernel::Gemm).then(|| {
-            let n_panels = k.div_ceil(GEMM_NR).max(1);
-            let touched: Vec<usize> = (0..n_panels)
-                .filter(|&p| (p * GEMM_NR..((p + 1) * GEMM_NR).min(k)).any(|j| changed[j]))
-                .collect();
-            if !touched.is_empty() {
-                // Clone-on-write: plans returned earlier may still hold
-                // the Arc; executors drop them before re-planning, so this
-                // stays an in-place repack of just the touched panels.
-                let buf = std::sync::Arc::make_mut(&mut self.panels);
-                for &p in &touched {
-                    pack_one_panel(
-                        centroids,
-                        p,
-                        &mut buf[p * GEMM_NR * d..(p + 1) * GEMM_NR * d],
-                    );
-                }
+        let n_panels = k.div_ceil(GEMM_NR).max(1);
+        let touched: Vec<usize> = (0..n_panels)
+            .filter(|&p| (p * GEMM_NR..((p + 1) * GEMM_NR).min(k)).any(|j| changed[j]))
+            .collect();
+        if !touched.is_empty() {
+            // Clone-on-write: plans returned earlier may still hold the
+            // Arc; executors drop them before re-planning, so this stays
+            // an in-place repack of just the touched panels.
+            let buf = std::sync::Arc::make_mut(&mut self.panels);
+            for &p in &touched {
+                pack_one_panel(
+                    centroids,
+                    p,
+                    &mut buf[p * GEMM_NR * d..(p + 1) * GEMM_NR * d],
+                );
             }
-            self.stats.panels_rebuilt += touched.len() as u64;
-            self.stats.panels_reused += (n_panels - touched.len()) as u64;
-            GemmState {
-                blocking: self
-                    .blocking
-                    .unwrap_or_else(|| GemmBlocking::for_budget(self.ldm_bytes, d, S::BYTES)),
-                panels: self.panels.clone(),
-            }
-        });
+        }
+        self.stats.panels_rebuilt += touched.len() as u64;
+        self.stats.panels_reused += (n_panels - touched.len()) as u64;
+        let gemm = GemmState {
+            blocking: self
+                .blocking
+                .unwrap_or_else(|| GemmBlocking::for_budget(self.ldm_bytes, d, S::BYTES)),
+            norms: self.norms.clone(),
+            panels: self.panels.clone(),
+        };
         AssignPlan {
-            kernel: self.kernel,
             k,
             d,
-            norms: self.norms.clone(),
-            tile: self.tile,
             slices: self.slices.clone(),
-            gemm,
+            gemm: Some(gemm),
         }
     }
 }
@@ -1382,9 +1061,9 @@ mod tests {
 
     #[test]
     fn score_pair_reconstructs_the_batch_scan_bitwise() {
-        // Ragged shapes exercise both the 4×4 micro kernel and the edge
-        // fallbacks of the tiled path; the sliced variant exercises the
-        // Level-3 per-CPE arithmetic.
+        // Ragged shapes exercise the edge panels and edge sample groups of
+        // the GEMM path; the sliced variant exercises the Level-3 per-CPE
+        // arithmetic.
         let data = random_matrix(37, 23, 1);
         let centroids = random_matrix(11, 23, 2);
         let slice_sets: [Option<Vec<Range<usize>>>; 2] =
@@ -1424,64 +1103,22 @@ mod tests {
             assert_eq!(AssignKernel::parse(k.name()), Ok(k));
             assert_eq!(format!("{k}").parse::<AssignKernel>(), Ok(k));
         }
+        // Legacy spellings: `exact` is the scalar scan, and `tiled` runs
+        // the GEMM kernel, which scores bitwise like the retired tiled one.
         assert_eq!(AssignKernel::parse("exact"), Ok(AssignKernel::Scalar));
-        assert_eq!(
-            AssignKernel::parse("norm-trick"),
-            Ok(AssignKernel::Expanded)
-        );
+        assert_eq!(AssignKernel::parse("tiled"), Ok(AssignKernel::Gemm));
         assert_eq!(AssignKernel::default(), AssignKernel::Scalar);
+        // Codes stay stable across the retirement of 1 and 2, so exported
+        // kernel gauges keep their meaning.
         let codes: Vec<u32> = AssignKernel::ALL.iter().map(|k| k.code()).collect();
-        assert_eq!(codes, vec![0, 1, 2, 3]);
-        // The parse error enumerates every valid name.
-        let err = AssignKernel::parse("warp-drive").unwrap_err();
-        for k in AssignKernel::ALL {
-            assert!(
-                err.contains(k.name()),
-                "error must list `{}`: {err}",
-                k.name()
-            );
+        assert_eq!(codes, vec![0, 3]);
+        // Unknown and retired names fail with an error that enumerates
+        // every valid name.
+        for bad in ["warp-drive", "expanded", "norm-trick"] {
+            let err = AssignKernel::parse(bad).unwrap_err();
+            assert!(err.contains("scalar|gemm"), "{bad}: {err}");
+            assert_eq!(bad.parse::<AssignKernel>(), Err(err));
         }
-    }
-
-    #[test]
-    fn tile_shape_respects_budget() {
-        for d in [1usize, 4, 16, 64, 100, 256, 1_000, 4_096] {
-            for e in [4usize, 8] {
-                for ldm in [1usize << 12, LDM_BYTES_DEFAULT, 1 << 20] {
-                    let t = TileShape::for_budget(ldm, d, e);
-                    assert!(t.samples >= 1 && t.centroids >= 1, "d={d} e={e}");
-                    if t.samples > 1 || t.centroids > 1 {
-                        assert!(
-                            t.footprint_bytes(d, e) <= ldm,
-                            "d={d} e={e} ldm={ldm}: {t:?} uses {} B",
-                            t.footprint_bytes(d, e)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn huge_rows_degenerate_to_1x1_spill() {
-        // One f32 row of the paper's d=196608 is 768 KB > 64 KB LDM:
-        // the tile degenerates exactly where C1 forces a spill.
-        let t = TileShape::for_budget(LDM_BYTES_DEFAULT, 196_608, 4);
-        assert_eq!(
-            t,
-            TileShape {
-                samples: 1,
-                centroids: 1
-            }
-        );
-    }
-
-    #[test]
-    fn default_budget_tiles_are_multiples_of_the_micro_kernel() {
-        let t = TileShape::for_budget(LDM_BYTES_DEFAULT, 64, 4);
-        assert_eq!(t.samples % 4, 0);
-        assert_eq!(t.centroids % 4, 0);
-        assert!(t.samples >= 16 && t.centroids >= 16, "{t:?}");
     }
 
     #[test]
@@ -1497,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn expansion_kernels_match_scalar_argmin() {
+    fn gemm_matches_scalar_argmin() {
         for (n, k, d, seed) in [
             (100usize, 7usize, 16usize, 3u64),
             (37, 13, 5, 4),
@@ -1512,21 +1149,16 @@ mod tests {
                 &data,
                 &centroids,
             );
-            for kernel in [
-                AssignKernel::Expanded,
-                AssignKernel::Tiled,
-                AssignKernel::Gemm,
-            ] {
-                let got = batch(&AssignPlan::new(kernel, &centroids), &data, &centroids);
-                for i in 0..n {
-                    assert_eq!(
-                        got[i].0, scalar[i].0,
-                        "{kernel} n={n} k={k} d={d} sample {i}"
-                    );
-                    // Keys agree up to reassociation of the expansion.
-                    let rel = (got[i].1 - scalar[i].1).abs() / (1.0 + scalar[i].1);
-                    assert!(rel < 1e-9, "{kernel} key drift {rel}");
-                }
+            let got = batch(
+                &AssignPlan::new(AssignKernel::Gemm, &centroids),
+                &data,
+                &centroids,
+            );
+            for i in 0..n {
+                assert_eq!(got[i].0, scalar[i].0, "n={n} k={k} d={d} sample {i}");
+                // Keys agree up to reassociation of the expansion.
+                let rel = (got[i].1 - scalar[i].1).abs() / (1.0 + scalar[i].1);
+                assert!(rel < 1e-9, "key drift {rel}");
             }
         }
     }
@@ -1535,8 +1167,8 @@ mod tests {
     fn duplicate_centroids_tie_to_lowest_index_under_every_kernel() {
         let data = random_matrix(50, 6, 11);
         let base = init_centroids(&data, 5, InitMethod::Forgy, 12);
-        // Duplicate every row so ties occur at every block position of the
-        // tile grid (tiny tiles force duplicates into different blocks).
+        // Duplicate every row so ties occur at every lane position of the
+        // panel grid (tiny budgets force duplicates into different blocks).
         let mut rows: Vec<&[f64]> = Vec::new();
         for j in 0..base.rows() {
             rows.push(base.row(j));
@@ -1595,34 +1227,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tiny_tiles_agree_with_huge_tiles() {
-        // Forcing 1×1 .. 4×4 tiles exercises every edge-block path; the
-        // result must be bitwise identical to one big tile.
-        let data = random_matrix(33, 17, 41);
-        let centroids = init_centroids(&data, 11, InitMethod::Forgy, 42);
-        let big = batch(
-            &AssignPlan::with_ldm_budget(AssignKernel::Tiled, &centroids, 1 << 24),
-            &data,
-            &centroids,
+    /// The oracle of the GEMM kernel: the strict-`<` ascending scan of
+    /// per-pair keys ([`AssignPlan::score_pair`]) — no blocking, packing or
+    /// micro kernel involved. Returns `(label, key bits)` per sample.
+    fn per_pair_scan<S: Scalar>(
+        plan: &AssignPlan<S>,
+        data: &Matrix<S>,
+        centroids: &Matrix<S>,
+        crows: Range<usize>,
+        global_offset: usize,
+    ) -> Vec<(u32, u64)> {
+        (0..data.rows())
+            .map(|i| {
+                let sample = data.row(i);
+                let key = |j| plan.score_pair(sample, centroids, j);
+                let mut best = (crows.start, key(crows.start));
+                for j in crows.start + 1..crows.end {
+                    if key(j) < best.1 {
+                        best = (j, key(j));
+                    }
+                }
+                let label = global_offset + (best.0 - crows.start);
+                (label as u32, plan.key_to_dist(sample, best.1).bits())
+            })
+            .collect()
+    }
+
+    fn gemm_bits<S: Scalar>(
+        plan: &AssignPlan<S>,
+        data: &Matrix<S>,
+        centroids: &Matrix<S>,
+        crows: Range<usize>,
+        global_offset: usize,
+    ) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        plan.assign_batch_into(
+            data,
+            0..data.rows(),
+            centroids,
+            crows,
+            global_offset,
+            &mut out,
         );
-        for ldm in [1usize, 100, 300, 700, 2_000] {
-            let small = batch(
-                &AssignPlan::with_ldm_budget(AssignKernel::Tiled, &centroids, ldm),
-                &data,
-                &centroids,
-            );
-            assert_eq!(small, big, "ldm={ldm}");
-        }
+        out.iter().map(|&(j, s)| (j, s.bits())).collect()
+    }
+
+    /// `rows` random rows followed by copies of the first `dups`, so exact
+    /// ties exist and the lowest-index tie-break is exercised.
+    fn with_duplicates<S: Scalar>(rows: usize, dups: usize, d: usize, seed: u64) -> Matrix<S> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut v: Vec<S> = (0..rows * d)
+            .map(|_| S::from_f64(rng.gen_range(-3.0..3.0)))
+            .collect();
+        v.extend_from_within(..dups * d);
+        Matrix::from_vec(rows + dups, d, v)
     }
 
     #[test]
-    fn gemm_is_bitwise_identical_to_tiled() {
-        // The GEMM path shares the tiled kernel's canonical accumulation
-        // order, so its labels *and keys* must match bit for bit — on
-        // ragged shapes (edge panels and edge sample groups), under
-        // Level-3 dimension slices, and on mid-panel centroid subranges
-        // like serve's shards.
+    fn gemm_is_bitwise_identical_to_the_per_pair_scan() {
+        // Labels *and keys* must match the per-pair scan bit for bit — on
+        // ragged shapes (edge panels and edge sample groups), at every
+        // LDM budget (tiny budgets force minimal blocks), under Level-3
+        // dimension slices, and on mid-panel centroid subranges like
+        // serve's shards. Duplicated centroid rows pin the tie-break.
         for (n, k, d, seed) in [
             (130usize, 37usize, 40usize, 1u64),
             (37, 13, 5, 2),
@@ -1631,93 +1298,56 @@ mod tests {
             (9, 130, 33, 5),
         ] {
             let data = random_matrix(n, d, seed);
-            let centroids = random_matrix(k, d, seed + 50);
-            let tiled = batch(
-                &AssignPlan::new(AssignKernel::Tiled, &centroids),
-                &data,
-                &centroids,
-            );
-            let gemm = batch(
-                &AssignPlan::new(AssignKernel::Gemm, &centroids),
-                &data,
-                &centroids,
-            );
-            for i in 0..n {
-                assert_eq!(gemm[i].0, tiled[i].0, "n={n} k={k} d={d} sample {i}");
+            let centroids = with_duplicates::<f64>(k, k.min(5), d, seed + 50);
+            let kk = centroids.rows();
+            for ldm in [1usize, 300, 2_000, LDM_BYTES_DEFAULT, 1 << 24] {
+                let plan = AssignPlan::with_ldm_budget(AssignKernel::Gemm, &centroids, ldm);
                 assert_eq!(
-                    gemm[i].1.to_bits(),
-                    tiled[i].1.to_bits(),
-                    "n={n} k={k} d={d} sample {i}: key bits differ"
+                    gemm_bits(&plan, &data, &centroids, 0..kk, 0),
+                    per_pair_scan(&plan, &data, &centroids, 0..kk, 0),
+                    "n={n} k={k} d={d} ldm={ldm}"
                 );
             }
         }
         // Sliced + mid-panel subrange: crows cuts through packed panels.
         let data = random_matrix(41, 29, 6);
-        let centroids = init_centroids(&data, 27, InitMethod::Forgy, 7);
+        let centroids = with_duplicates::<f64>(24, 3, 29, 7);
         let slices = Some(vec![0..11, 11..12, 12..12, 12..29]);
-        let tiled = AssignPlan::with_options(
-            AssignKernel::Tiled,
-            &centroids,
-            LDM_BYTES_DEFAULT,
-            slices.clone(),
-        );
-        let gemm =
+        let plan =
             AssignPlan::with_options(AssignKernel::Gemm, &centroids, LDM_BYTES_DEFAULT, slices);
-        for crows in [0..27usize, 3..22, 5..6, 8..16] {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            tiled.assign_batch_into(&data, 0..41, &centroids, crows.clone(), 9, &mut a);
-            gemm.assign_batch_into(&data, 0..41, &centroids, crows.clone(), 9, &mut b);
+        for crows in [0..27usize, 3..22, 5..6, 8..16, 20..27] {
             assert_eq!(
-                a.iter().map(|&(j, s)| (j, s.to_bits())).collect::<Vec<_>>(),
-                b.iter().map(|&(j, s)| (j, s.to_bits())).collect::<Vec<_>>(),
+                gemm_bits(&plan, &data, &centroids, crows.clone(), 9),
+                per_pair_scan(&plan, &data, &centroids, crows.clone(), 9),
                 "crows={crows:?}"
             );
         }
         // f32 pins the explicit-lane (AVX on x86-64) micro kernel against
-        // tiled's scalar chains: unfused per-lane mul-then-add must keep
-        // the keys bitwise equal too.
+        // the scalar chains: unfused per-lane mul-then-add must keep the
+        // keys bitwise equal too.
         let mut rng = ChaCha8Rng::seed_from_u64(97);
         let data32 = Matrix::from_vec(
             61,
             37,
             (0..61 * 37).map(|_| rng.gen_range(-3.0f32..3.0)).collect(),
         );
-        let cents32 = Matrix::from_vec(
-            30,
-            37,
-            (0..30 * 37).map(|_| rng.gen_range(-3.0f32..3.0)).collect(),
-        );
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        AssignPlan::new(AssignKernel::Tiled, &cents32).assign_batch_into(
-            &data32,
-            0..61,
-            &cents32,
-            0..30,
-            0,
-            &mut a,
-        );
-        AssignPlan::new(AssignKernel::Gemm, &cents32).assign_batch_into(
-            &data32,
-            0..61,
-            &cents32,
-            0..30,
-            0,
-            &mut b,
-        );
-        assert_eq!(
-            a.iter().map(|&(j, s)| (j, s.to_bits())).collect::<Vec<_>>(),
-            b.iter().map(|&(j, s)| (j, s.to_bits())).collect::<Vec<_>>(),
-            "f32 gemm diverged from tiled"
-        );
+        let cents32 = with_duplicates::<f32>(27, 3, 37, 98);
+        for ldm in [1usize, 2_000, LDM_BYTES_DEFAULT] {
+            let plan = AssignPlan::with_ldm_budget(AssignKernel::Gemm, &cents32, ldm);
+            assert_eq!(
+                gemm_bits(&plan, &data32, &cents32, 0..30, 0),
+                per_pair_scan(&plan, &data32, &cents32, 0..30, 0),
+                "f32 ldm={ldm}"
+            );
+        }
     }
 
     #[test]
     fn tiny_gemm_blocks_agree_with_huge_blocks() {
         // Forcing minimal 4×8 blocks exercises every edge path of the
         // packed kernel; results must be bitwise identical to one big
-        // resident block — and to any cost-model override in between.
+        // resident block — whether the small blocks come from a tiny LDM
+        // budget or from a cost-model override.
         let data = random_matrix(53, 17, 43);
         let centroids = init_centroids(&data, 21, InitMethod::Forgy, 44);
         let big = batch(
@@ -1734,6 +1364,10 @@ mod tests {
                 "override lost"
             );
             assert_eq!(batch(&plan, &data, &centroids), big, "mc={mc} nc={nc}");
+        }
+        for ldm in [1usize, 100, 300, 700, 2_000] {
+            let plan = AssignPlan::with_ldm_budget(AssignKernel::Gemm, &centroids, ldm);
+            assert_eq!(batch(&plan, &data, &centroids), big, "ldm={ldm}");
         }
     }
 
@@ -1850,9 +1484,9 @@ mod tests {
 
     #[test]
     fn f32_kernels_agree_on_separated_data() {
-        // f32 near-tie tolerance story: on well-separated data all kernels
+        // f32 near-tie tolerance story: on well-separated data both kernels
         // agree exactly; near-exact ties may legitimately differ between
-        // Scalar and the expansion kernels (documented, not asserted).
+        // Scalar and the expansion (documented, not asserted).
         let mut rng = ChaCha8Rng::seed_from_u64(51);
         let centroids = Matrix::from_vec(
             4,
@@ -1964,7 +1598,7 @@ mod tests {
     fn stale_plan_panics() {
         let c1 = random_matrix(4, 3, 61);
         let c2 = random_matrix(5, 3, 62);
-        let plan = AssignPlan::new(AssignKernel::Expanded, &c1);
+        let plan = AssignPlan::new(AssignKernel::Gemm, &c1);
         let data = random_matrix(2, 3, 63);
         let result = std::panic::catch_unwind(|| {
             let mut out = Vec::new();
@@ -1975,15 +1609,13 @@ mod tests {
 
     #[test]
     #[allow(clippy::single_range_in_vec_init)] // a one-slice covering is a case under test
-    fn linear_and_unrolled_sliced_dots_match_reference() {
+    fn linear_sliced_dot_matches_reference() {
         let a: Vec<f64> = (0..97).map(|i| (i as f64 * 0.31).sin()).collect();
         let b: Vec<f64> = (0..97).map(|i| (i as f64 * 0.73).cos()).collect();
         let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         for slices in [vec![0..97], vec![0..13, 13..64, 64..97], vec![0..0, 0..97]] {
             let lin = dot_sliced_linear(&a, &b, &slices);
-            let unr = dot_sliced_unrolled(&a, &b, &slices);
             assert!((lin - naive).abs() < 1e-12 * (1.0 + naive.abs()));
-            assert!((unr - naive).abs() < 1e-12 * (1.0 + naive.abs()));
         }
     }
 }

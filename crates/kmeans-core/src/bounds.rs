@@ -1,6 +1,6 @@
 //! Triangle-inequality bound maintenance fused with the batch assign
-//! kernels: the distributed generalisation of [`crate::yinyang`]'s serial
-//! pruning.
+//! kernels: the workspace's one pruning implementation, run by the serial
+//! [`crate::Lloyd`] and by every distributed executor alike.
 //!
 //! A [`BoundState`] tracks, per sample, an upper bound on the distance to
 //! its cached winning centroid and Yinyang-style lower bounds on the
@@ -12,8 +12,8 @@
 //! argmin, so its cached `(label, key)` pair is emitted without touching
 //! the centroids; the surviving rows are gather-compacted into a dense
 //! panel and pushed through the *same* [`AssignPlan`] batch kernels, so
-//! pruning multiplies with the tiled/GEMM speedups instead of replacing
-//! them.
+//! pruning multiplies with the GEMM kernel's speedup instead of replacing
+//! it.
 //!
 //! # Bitwise discipline
 //!
@@ -38,7 +38,7 @@
 //!
 //! Floating-point safety margins (`slack`) widen every bound by a
 //! kernel-rounding allowance scaled to the sample norm, covering the
-//! cancellation error of the expanded `‖x‖²+‖c‖²−2·x·c` forms; exact ties
+//! cancellation error of the GEMM kernel's `‖x‖²+‖c‖²−2·x·c` form; exact ties
 //! produce `ub ≥ lb` and therefore always rescan, which is how the
 //! lowest-index tie-break survives filtering.
 
@@ -233,8 +233,8 @@ pub struct BoundState<S: Scalar> {
     /// Per-sample `‖x‖` (f64), the scale of the kernel rounding slack.
     xnorm: Vec<f64>,
     xnorm_ready: bool,
-    /// Per-row bound validity (per-row seeding for the mini-batch path;
-    /// the dense executors seed all rows at once).
+    /// Per-row bound validity: set by [`BoundState::seed_row`], cleared
+    /// by [`BoundState::reset`]; unseeded rows always rescan.
     row_ok: Vec<bool>,
     active: bool,
     seeded: bool,
@@ -248,7 +248,7 @@ pub struct BoundState<S: Scalar> {
 const DRIFT_INFLATE: f64 = 1.0 + 1e-12;
 
 fn slack_for<S: Scalar>() -> f64 {
-    // Covers the cancellation error of the expanded kernels'
+    // Covers the cancellation error of the GEMM kernel's
     // `‖x‖²+‖c‖²−2·x·c` bracketing relative to the scalar distance,
     // scaled by `2‖x‖ + dist` at use sites. Exact ties always rescan
     // regardless (ub ≥ lb there), so generosity costs only a sliver of
@@ -267,7 +267,7 @@ pub fn dist_from_batch<S: Scalar>(v: S) -> f64 {
 }
 
 /// Distance from a raw [`AssignPlan::score_pair`] key (`‖x‖²` still
-/// missing for the expanded kernels).
+/// missing for the GEMM kernel).
 pub fn dist_from_score_key<S: Scalar>(plan: &AssignPlan<S>, sample: &[S], key: S) -> f64 {
     plan.key_to_dist(sample, key).to_f64().max(0.0).sqrt()
 }
@@ -373,12 +373,6 @@ impl<S: Scalar> BoundState<S> {
         if !self.active && moved <= ENGAGE_MOVED_FRACTION {
             self.active = true;
         }
-    }
-
-    /// Engage unconditionally (the mini-batch path, which has no global
-    /// moved-fraction signal and seeds rows lazily instead).
-    pub fn engage(&mut self) {
-        self.active = true;
     }
 
     /// Conservative invalidation: a fault-degraded iteration ran on a
@@ -688,109 +682,6 @@ impl<S: Scalar> BoundState<S> {
         }
         self.finish_filter(m);
     }
-
-    /// Bounded assign for a gathered row panel whose rows map to
-    /// arbitrary state indices (the mini-batch path): rows with valid
-    /// bounds are filtered, everything else — first appearances and
-    /// filter survivors — gets full per-group seeding, so every scanned
-    /// row leaves with tight bounds. `out[r]` receives the pair for
-    /// panel row `r`.
-    pub fn assign_mapped(
-        &mut self,
-        plan: &AssignPlan<S>,
-        panel: &Matrix<S>,
-        map: &[usize],
-        centroids: &Matrix<S>,
-        out: &mut Vec<(u32, S)>,
-        scratch: &mut BoundsScratch<S>,
-    ) {
-        let b = map.len();
-        assert_eq!(panel.rows(), b);
-        out.clear();
-        self.stats.lloyd_equivalent += (b as u64) * (self.k as u64);
-        scratch.survivors.clear();
-        scratch.panel.clear();
-        for (r, &i) in map.iter().enumerate() {
-            match self.filter_row(i) {
-                Some(pair) => out.push(pair),
-                None => {
-                    scratch.survivors.push(r as u32);
-                    scratch.panel.extend_from_slice(panel.row(r));
-                    out.push((u32::MAX, S::ZERO));
-                }
-            }
-        }
-        let m = scratch.survivors.len();
-        if m == 0 {
-            return;
-        }
-        let sub = Matrix::from_vec(m, self.d, std::mem::take(&mut scratch.panel));
-        scratch.group_out.resize(self.t, Vec::new());
-        for (g, range) in self.groups.iter().enumerate() {
-            let go = &mut scratch.group_out[g];
-            go.clear();
-            if range.is_empty() {
-                continue;
-            }
-            plan.assign_batch_into(&sub, 0..m, centroids, range.clone(), range.start, go);
-        }
-        self.stats.distance_evals += (m as u64) * (self.k as u64);
-        let mut group_dists = vec![f64::INFINITY; self.t];
-        for s in 0..m {
-            let i = map[scratch.survivors[s] as usize];
-            let mut best: Option<(u32, S)> = None;
-            for go in scratch.group_out.iter() {
-                if go.is_empty() {
-                    continue;
-                }
-                let cand = go[s];
-                best = match best {
-                    None => Some(cand),
-                    Some(bp) if cand.1 < bp.1 => Some(cand),
-                    Some(bp) => Some(bp),
-                };
-            }
-            let pair = best.expect("at least one non-empty group");
-            let sample = sub.row(s);
-            // Mini-batch rows recompute ‖x‖ on the fly: the stripe-wide
-            // xnorm precompute never ran for lazily-seeded rows.
-            let mut acc = 0.0f64;
-            for v in sample {
-                let f = v.to_f64();
-                acc += f * f;
-            }
-            self.xnorm[i] = acc.sqrt();
-            for (g, go) in scratch.group_out.iter().enumerate() {
-                group_dists[g] = if go.is_empty() {
-                    f64::INFINITY
-                } else {
-                    dist_from_batch(go[s].1)
-                };
-            }
-            let gb = self.group_of[pair.0 as usize] as usize;
-            let mut ru_key: Option<S> = None;
-            for j in self.groups[gb].clone() {
-                if j as u32 == pair.0 {
-                    continue;
-                }
-                let key = plan.score_pair(sample, centroids, j);
-                ru_key = match ru_key {
-                    None => Some(key),
-                    Some(bk) if key < bk => Some(key),
-                    Some(bk) => Some(bk),
-                };
-            }
-            self.stats.distance_evals += (self.groups[gb].len() as u64).saturating_sub(1);
-            let runner_up = match ru_key {
-                Some(key) => dist_from_score_key(plan, sample, key),
-                None => f64::INFINITY,
-            };
-            self.seed_row(i, pair, &group_dists, runner_up);
-            out[scratch.survivors[s] as usize] = pair;
-        }
-        self.seeded = true;
-        scratch.panel = sub.into_vec();
-    }
 }
 
 #[cfg(test)]
@@ -926,7 +817,7 @@ mod tests {
         let k = cent.rows();
         let mut st = BoundState::<f64>::new(BoundsMode::Yinyang, n, k, d);
         let mut scratch = BoundsScratch::default();
-        st.engage();
+        st.note_moved_fraction(0.0);
         let plan = AssignPlan::new(AssignKernel::Gemm, &cent);
         for _ in 0..3 {
             let mut got = Vec::new();
@@ -946,8 +837,8 @@ mod tests {
         let cent = init_centroids(&data, k, InitMethod::Forgy, 2);
         let mut st = BoundState::<f64>::new(BoundsMode::Yinyang, n, k, d);
         let mut scratch = BoundsScratch::default();
-        st.engage();
-        let plan = AssignPlan::new(AssignKernel::Tiled, &cent);
+        st.note_moved_fraction(0.0);
+        let plan = AssignPlan::new(AssignKernel::Gemm, &cent);
         let mut out = Vec::new();
         assert_eq!(
             st.assign_serial(&plan, &data, 0..n, &cent, &mut out, &mut scratch),

@@ -9,8 +9,7 @@
 //!   distances are just these kernels applied to column-range slices:
 //!   Level 3 computes `Σ_{u∈slice}(x_u - c_u)²` per CPE and sum-reduces the
 //!   partials, which is exact because squared Euclidean distance is
-//!   additive over disjoint dimension slices. [`CentroidNorms`] is the
-//!   norm-expansion variant.
+//!   additive over disjoint dimension slices.
 //! * Per batch, bit-exact: [`argmin_direct`] (many centroids, argmin) and
 //!   [`sq_dists_to_row`] (one centroid) perform, per pair, exactly the
 //!   operations of [`sq_euclidean_unrolled`] in exactly its order, only
@@ -80,77 +79,6 @@ pub fn argmin_centroid<S: Scalar>(sample: &[S], centroids: &Matrix<S>) -> (usize
         }
     }
     (best_j, best_d)
-}
-
-/// Precomputed squared norms of each centroid row — the expansion trick
-/// `‖x − c‖² = ‖x‖² + ‖c‖² − 2·x·c` turns the distance scan into one dot
-/// product per centroid (half the subtract/square work, and the `x·c` loop
-/// is a pure FMA stream the vector pipes love). Norms are recomputed once
-/// per Update, amortised over all n samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CentroidNorms<S: Scalar> {
-    norms: Vec<S>,
-}
-
-impl<S: Scalar> CentroidNorms<S> {
-    /// Compute `‖c_j‖²` for every centroid row.
-    pub fn new(centroids: &Matrix<S>) -> Self {
-        let norms = (0..centroids.rows())
-            .map(|j| {
-                let row = centroids.row(j);
-                dot_unrolled(row, row)
-            })
-            .collect();
-        CentroidNorms { norms }
-    }
-
-    pub fn len(&self) -> usize {
-        self.norms.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.norms.is_empty()
-    }
-
-    /// Argmin over all centroids using the norm expansion. Minimising
-    /// `‖x−c‖²` at fixed x is minimising `‖c‖² − 2·x·c`, so `‖x‖²` is never
-    /// computed. Returns the winning index and its *score*
-    /// (`‖c‖² − 2·x·c`); add `‖x‖²` to recover the squared distance.
-    pub fn argmin(&self, sample: &[S], centroids: &Matrix<S>) -> (usize, S) {
-        assert_eq!(self.norms.len(), centroids.rows(), "stale norms");
-        assert!(!self.norms.is_empty(), "no centroids");
-        let two = S::from_f64(2.0);
-        let mut best_j = 0usize;
-        let mut best = self.norms[0] - two * dot_unrolled(sample, centroids.row(0));
-        for j in 1..centroids.rows() {
-            let score = self.norms[j] - two * dot_unrolled(sample, centroids.row(j));
-            if score < best {
-                best = score;
-                best_j = j;
-            }
-        }
-        (best_j, best)
-    }
-}
-
-/// Dot product with 4-way unrolling.
-#[inline]
-pub fn dot_unrolled<S: Scalar>(a: &[S], b: &[S]) -> S {
-    debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 4;
-    let (mut s0, mut s1, mut s2, mut s3) = (S::ZERO, S::ZERO, S::ZERO, S::ZERO);
-    for i in 0..chunks {
-        let base = i * 4;
-        s0 += a[base] * b[base];
-        s1 += a[base + 1] * b[base + 1];
-        s2 += a[base + 2] * b[base + 2];
-        s3 += a[base + 3] * b[base + 3];
-    }
-    let mut acc = (s0 + s1) + (s2 + s3);
-    for i in chunks * 4..a.len() {
-        acc += a[i] * b[i];
-    }
-    acc
 }
 
 /// Like [`argmin_centroid`] but over a *subset* of centroid rows, returning
@@ -744,54 +672,6 @@ mod tests {
     fn argmin_rejects_dimension_mismatch() {
         let centroids = Matrix::from_rows(&[&[0.0f64, 0.0]]);
         let _ = argmin_centroid(&[1.0], &centroids);
-    }
-
-    #[test]
-    fn dot_matches_naive() {
-        for len in [0usize, 1, 4, 5, 17, 100] {
-            let a: Vec<f64> = (0..len).map(|i| (i as f64 * 0.3).sin()).collect();
-            let b: Vec<f64> = (0..len).map(|i| (i as f64 * 0.9).cos()).collect();
-            let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((dot_unrolled(&a, &b) - naive).abs() < 1e-12 * (1.0 + naive.abs()));
-        }
-    }
-
-    #[test]
-    fn norm_trick_argmin_matches_direct() {
-        let k = 20;
-        let d = 37;
-        let centroids = Matrix::from_vec(
-            k,
-            d,
-            (0..k * d)
-                .map(|i| ((i * 37 % 101) as f64 - 50.0) * 0.1)
-                .collect(),
-        );
-        let norms = CentroidNorms::new(&centroids);
-        assert_eq!(norms.len(), k);
-        for s in 0..25 {
-            let sample: Vec<f64> = (0..d)
-                .map(|u| ((s * 13 + u * 7) % 97) as f64 * 0.1 - 4.0)
-                .collect();
-            let (direct, direct_d) = argmin_centroid(&sample, &centroids);
-            let (trick, score) = norms.argmin(&sample, &centroids);
-            assert_eq!(direct, trick, "sample {s}");
-            // score + ‖x‖² == squared distance.
-            let x2 = dot_unrolled(&sample, &sample);
-            assert!(
-                ((score + x2) - direct_d).abs() < 1e-9,
-                "distance recovery failed"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "stale norms")]
-    fn norms_must_match_centroids() {
-        let c1 = Matrix::<f64>::zeros(3, 4);
-        let c2 = Matrix::<f64>::zeros(5, 4);
-        let norms = CentroidNorms::new(&c1);
-        let _ = norms.argmin(&[0.0; 4], &c2);
     }
 
     #[test]

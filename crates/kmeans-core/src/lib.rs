@@ -17,8 +17,8 @@
 //!   often want f64).
 //! * [`matrix`] — row-major sample/centroid storage with per-row
 //!   column-range views (the unit Level 3 partitions by dimension).
-//! * [`assign`] — the batch-assign kernel layer: scalar, norm-expanded and
-//!   LDM-tiled kernels behind one [`AssignKernel`] entry point.
+//! * [`assign`] — the batch-assign kernel layer: the exact scalar scan and
+//!   the LDM-blocked GEMM kernel behind one [`AssignKernel`] entry point.
 //! * [`distance`] — squared-Euclidean kernels: simple, unrolled and
 //!   partial-dimension variants per pair, and the bit-exact batch forms
 //!   the final label pass and k-means++ run on.
@@ -26,6 +26,8 @@
 //! * [`lloyd`] — the serial reference algorithm with pluggable convergence,
 //!   exposed both as a whole and as separate Assign/Update steps (the pieces
 //!   the parallel levels distribute).
+//! * [`bounds`] — the exact Hamerly/Yinyang triangle-inequality filter that
+//!   `Lloyd` and every executor run to skip provably unchanged samples.
 //! * [`update`] — Update-path selection ([`UpdateMode`]: two-pass, fused
 //!   assign–accumulate, incremental delta) and the touched-row bookkeeping
 //!   behind sparse merges; every mode is bitwise-equivalent.
@@ -34,12 +36,10 @@
 pub mod assign;
 pub mod bounds;
 pub mod distance;
-pub mod elkan;
 pub mod init;
 pub mod lloyd;
 pub mod matrix;
 pub mod metrics;
-pub mod minibatch;
 pub mod objective;
 pub mod preprocess;
 pub mod scalar;
@@ -47,20 +47,15 @@ pub mod scalar;
 pub mod serde_impls;
 pub mod source;
 pub mod update;
-pub mod yinyang;
 
 pub use assign::{
-    AssignKernel, AssignPlan, AssignPlanner, GemmBlocking, PlannerStats, TileShape,
-    LDM_BYTES_DEFAULT,
+    AssignKernel, AssignPlan, AssignPlanner, GemmBlocking, PlannerStats, LDM_BYTES_DEFAULT,
 };
 pub use bounds::{
     centroid_drifts, dist_from_batch, dist_from_score_key, BoundState, BoundsIterKind, BoundsMode,
     BoundsScratch, BoundsStats, ENGAGE_MOVED_FRACTION, RESEED_SURVIVOR_FRACTION,
 };
-pub use distance::{
-    argmin_centroid, dot_unrolled, sq_euclidean, sq_euclidean_unrolled, CentroidNorms,
-};
-pub use elkan::ElkanStats;
+pub use distance::{argmin_centroid, sq_euclidean, sq_euclidean_unrolled};
 pub use init::{init_centroids, InitMethod};
 pub use lloyd::{
     assign_step, max_centroid_shift, max_centroid_shift_touched, update_step, KMeansConfig,
@@ -68,10 +63,8 @@ pub use lloyd::{
 };
 pub use matrix::Matrix;
 pub use metrics::{adjusted_rand_index, nmi, purity, Contingency};
-pub use minibatch::MiniBatchConfig;
 pub use objective::mean_objective;
 pub use preprocess::{standardized, ColumnStats};
 pub use scalar::Scalar;
 pub use source::{MatrixSource, SampleSource};
 pub use update::{TouchedSet, UpdateMode, DELTA_FALLBACK_FRACTION};
-pub use yinyang::YinyangStats;

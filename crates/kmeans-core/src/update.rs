@@ -1,7 +1,7 @@
 //! Update-path selection and the touched-set bookkeeping behind delta
 //! updates.
 //!
-//! PR 3's tiled Assign kernel moved the per-iteration critical path onto
+//! A blocked Assign kernel moves the per-iteration critical path onto
 //! Update and the merge AllReduce. This module holds the vocabulary the
 //! fused/incremental Update paths share:
 //!
@@ -31,7 +31,7 @@ pub enum UpdateMode {
     #[default]
     TwoPass,
     /// Fused assign–accumulate: the assign kernel folds each scored sample
-    /// into per-cluster sums/counts while the tile is cache-resident,
+    /// into per-cluster sums/counts while the block is cache-resident,
     /// eliminating the second full-data sweep.
     Fused,
     /// Incremental: keep the previous iteration's labels; from iteration 2

@@ -38,11 +38,16 @@
 //!   leftovers in the `serve_stranded_requests` gauge (always 0 unless the
 //!   drain contract is broken — the load-ramp harness asserts it).
 
-use crate::admission::{AdmissionConfig, AdmissionController, ElasticConfig, ElasticScaler, ScaleDecision};
+use crate::admission::{
+    AdmissionConfig, AdmissionController, ElasticConfig, ElasticScaler, ScaleDecision,
+};
 use crate::error::ServeError;
 use crate::metrics::{ServeMetrics, StageHists};
 use crate::pipeline::{Job, ModelSlot, PipelineConfig, Prediction, ServeTracing};
-use crossbeam_channel::{bounded, tick, unbounded, Receiver, RecvTimeoutError, Select, Sender, TryRecvError, TrySendError};
+use crossbeam_channel::{
+    bounded, tick, unbounded, Receiver, RecvTimeoutError, Select, Sender, TryRecvError,
+    TrySendError,
+};
 use kmeans_core::{Matrix, Scalar};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -238,7 +243,7 @@ pub(crate) fn start<S: Scalar>(
     let window = Arc::new(Mutex::new(Histogram::new()));
     let worker_handles = Arc::new(Mutex::new(Vec::new()));
     let audit_ingress = ingress_rx.clone();
-    let audit_shards: Vec<_> = shard_rxs.iter().cloned().collect();
+    let audit_shards = shard_rxs.to_vec();
     let dispatcher = {
         let spawner = ShardSpawner {
             slot: Arc::clone(&slot),
@@ -441,7 +446,11 @@ impl<S: Scalar> Dispatcher<S> {
 /// First job in hand, drain whatever is queued, then linger for
 /// stragglers — the same adaptive micro-batching the workers used to do,
 /// now centralised in the dispatcher.
-fn form_batch<S>(first: Job<S>, ingress: &Receiver<Job<S>>, config: &DispatchConfig) -> Vec<Job<S>> {
+fn form_batch<S>(
+    first: Job<S>,
+    ingress: &Receiver<Job<S>>,
+    config: &DispatchConfig,
+) -> Vec<Job<S>> {
     let mut jobs = vec![first];
     while jobs.len() < config.max_batch {
         match ingress.try_recv() {
@@ -525,12 +534,9 @@ fn dispatcher_loop<S: Scalar>(
                 Err(TryRecvError::Disconnected) => break,
             }
         } else if op == op_done {
-            match done.try_recv() {
-                Ok(c) => {
-                    d.complete(c);
-                    d.flush_pending();
-                }
-                Err(_) => {}
+            if let Ok(c) = done.try_recv() {
+                d.complete(c);
+                d.flush_pending();
             }
         } else if op == op_ctl {
             match ctl.try_recv() {
@@ -540,7 +546,8 @@ fn dispatcher_loop<S: Scalar>(
                     }
                 }
                 Ok(Control::ShardKilled { shard }) => {
-                    d.metrics.record_alive_index_shards(d.slot.current().alive_shards() as u64);
+                    d.metrics
+                        .record_alive_index_shards(d.slot.current().alive_shards() as u64);
                     if let Some(t) = &d.tracer {
                         t.instant_full("shard_kill_observed", 0, "shard", shard as u64);
                     }
@@ -563,7 +570,11 @@ fn dispatcher_loop<S: Scalar>(
 
 /// Shutdown drain: keep serving stragglers until every client handle is
 /// gone (the ingress disconnects), then flush anything parked.
-fn drain<S: Scalar>(d: &mut Dispatcher<S>, ingress: &Receiver<Job<S>>, done: &Receiver<Completion>) {
+fn drain<S: Scalar>(
+    d: &mut Dispatcher<S>,
+    ingress: &Receiver<Job<S>>,
+    done: &Receiver<Completion>,
+) {
     loop {
         while let Ok(c) = done.try_recv() {
             d.complete(c);
@@ -680,7 +691,15 @@ fn worker_loop<S: Scalar>(
     'serve: loop {
         match own.try_recv() {
             Ok(batch) => {
-                execute_batch(batch, &slot, &metrics, &tracing, tracer.as_ref(), &window, &done);
+                execute_batch(
+                    batch,
+                    &slot,
+                    &metrics,
+                    &tracing,
+                    tracer.as_ref(),
+                    &window,
+                    &done,
+                );
                 continue 'serve;
             }
             Err(TryRecvError::Disconnected) => break,
@@ -697,7 +716,15 @@ fn worker_loop<S: Scalar>(
                     if let Some(t) = &tracer {
                         t.instant_full("steal", 0, "victim", *victim as u64);
                     }
-                    execute_batch(batch, &slot, &metrics, &tracing, tracer.as_ref(), &window, &done);
+                    execute_batch(
+                        batch,
+                        &slot,
+                        &metrics,
+                        &tracing,
+                        tracer.as_ref(),
+                        &window,
+                        &done,
+                    );
                     continue 'serve;
                 }
             }
@@ -706,9 +733,15 @@ fn worker_loop<S: Scalar>(
         // Disconnect is the clean exit — scale-down never closes the
         // channel, only shutdown does, and only after the drain.
         match own.recv_timeout(STEAL_SWEEP) {
-            Ok(batch) => {
-                execute_batch(batch, &slot, &metrics, &tracing, tracer.as_ref(), &window, &done)
-            }
+            Ok(batch) => execute_batch(
+                batch,
+                &slot,
+                &metrics,
+                &tracing,
+                tracer.as_ref(),
+                &window,
+                &done,
+            ),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }

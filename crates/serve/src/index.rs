@@ -9,35 +9,28 @@
 //!
 //! Per-shard scoring routes through the shared [`AssignPlan`] from
 //! `kmeans-core`, so serving uses exactly the kernels training uses:
-//! [`Kernel::Scalar`] (exact subtract-square, the default),
-//! [`Kernel::Expanded`] (norm expansion, previously `NormTrick`),
-//! [`Kernel::Tiled`] (LDM-blocked expansion with the 4×4 micro kernel) and
-//! [`Kernel::Gemm`] (cache-blocked `−2·X·Cᵀ` over packed panels, bitwise
-//! equal to `Tiled`).
+//! [`AssignKernel::Scalar`] (exact subtract-square, the default) and
+//! [`AssignKernel::Gemm`] (the norm expansion as a cache-blocked
+//! `−2·X·Cᵀ` over packed centroid panels).
 
 use crate::artifact::ModelArtifact;
 use crate::error::ServeError;
 use hier_kmeans::partition::split_range;
-use kmeans_core::{AssignPlan, Matrix, Scalar};
+use kmeans_core::{AssignKernel, AssignPlan, Matrix, Scalar};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Distance kernel used per shard — the training assign kernel, re-exported.
-/// The legacy serving names still parse: `exact` → `Scalar`, `norm-trick`
-/// → `Expanded`.
-pub use kmeans_core::AssignKernel as Kernel;
 
 /// A single shard's claim on the global argmin.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardVote<S> {
     /// Global centroid index of the shard-local winner.
     pub index: usize,
-    /// The winner's comparison key (squared distance for [`Kernel::Scalar`];
-    /// the expansion `‖x‖² + ‖c‖² − 2·x·c` for [`Kernel::Expanded`] /
-    /// [`Kernel::Tiled`] — keys are comparable across shards either way
-    /// because `‖x‖²` is computed identically for every shard's vote).
+    /// The winner's comparison key (squared distance for
+    /// [`AssignKernel::Scalar`]; the expansion `‖x‖² + ‖c‖² − 2·x·c` for
+    /// [`AssignKernel::Gemm`] — keys are comparable across shards either
+    /// way because `‖x‖²` is computed identically for every shard's vote).
     pub key: S,
 }
 
@@ -61,7 +54,7 @@ pub struct BatchOutcome {
 pub struct ShardedIndex<S: Scalar> {
     centroids: Matrix<S>,
     shards: Vec<Range<usize>>,
-    /// The prepared assign pass (kernel + centroid norms + tile shape),
+    /// The prepared assign pass (kernel + centroid norms + packed panels),
     /// built once at index construction and amortised over every query.
     plan: AssignPlan<S>,
     /// Per-shard liveness, shared across clones so a kill is observed by
@@ -71,7 +64,7 @@ pub struct ShardedIndex<S: Scalar> {
 
 impl<S: Scalar> ShardedIndex<S> {
     /// Build an index over `num_shards` contiguous centroid shards using
-    /// the default [`Kernel::Scalar`]. Shard count is clamped to `k`, so
+    /// the default [`AssignKernel::Scalar`]. Shard count is clamped to `k`, so
     /// over-sharding a small model is harmless.
     pub fn new(centroids: Matrix<S>, num_shards: usize) -> Self {
         assert!(centroids.rows() > 0, "index needs at least one centroid");
@@ -80,7 +73,7 @@ impl<S: Scalar> ShardedIndex<S> {
             .map(|i| split_range(centroids.rows(), parts, i))
             .filter(|r| !r.is_empty())
             .collect();
-        let plan = AssignPlan::new(Kernel::Scalar, &centroids);
+        let plan = AssignPlan::new(AssignKernel::Scalar, &centroids);
         let alive = Arc::new(shards.iter().map(|_| AtomicBool::new(true)).collect());
         ShardedIndex {
             centroids,
@@ -95,10 +88,10 @@ impl<S: Scalar> ShardedIndex<S> {
         Self::new(artifact.centroids.clone(), num_shards)
     }
 
-    /// Switch the per-shard kernel; `Expanded`/`Tiled`/`Gemm` precompute
-    /// centroid norms (and, for `Gemm`, packed centroid panels) once here,
-    /// amortised over every subsequent query.
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
+    /// Switch the per-shard kernel; `Gemm` precomputes centroid norms and
+    /// packed centroid panels once here, amortised over every subsequent
+    /// query.
+    pub fn with_kernel(mut self, kernel: AssignKernel) -> Self {
         self.plan = AssignPlan::new(kernel, &self.centroids);
         self
     }
@@ -115,7 +108,7 @@ impl<S: Scalar> ShardedIndex<S> {
         self.shards.len()
     }
 
-    pub fn kernel(&self) -> Kernel {
+    pub fn kernel(&self) -> AssignKernel {
         self.plan.kernel()
     }
 
@@ -305,7 +298,7 @@ mod tests {
         // Duplicate centroids in different shards: the lower global index
         // must win, exactly as in a serial scan — under every kernel.
         let centroids = Matrix::from_rows(&[&[5.0f64, 5.0], &[1.0, 1.0], &[1.0, 1.0], &[9.0, 9.0]]);
-        for kernel in Kernel::ALL {
+        for kernel in AssignKernel::ALL {
             for shards in [1, 2, 4] {
                 let index = ShardedIndex::new(centroids.clone(), shards).with_kernel(kernel);
                 assert_eq!(index.assign_one(&[1.0, 1.0]), 1, "{kernel} shards={shards}");
@@ -314,19 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn expansion_kernels_agree_on_well_separated_data() {
+    fn gemm_kernel_agrees_on_well_separated_data() {
         let centroids = Matrix::from_rows(&[&[0.0f64, 0.0], &[10.0, 0.0], &[0.0, 10.0]]);
         let exact = ShardedIndex::new(centroids.clone(), 2);
-        for kernel in [Kernel::Expanded, Kernel::Tiled, Kernel::Gemm] {
-            let fast = ShardedIndex::new(centroids.clone(), 2).with_kernel(kernel);
-            assert_eq!(fast.kernel(), kernel);
-            for sample in [[1.0, 1.0], [9.0, 1.0], [1.0, 9.0], [-3.0, -3.0]] {
-                assert_eq!(
-                    exact.assign_one(&sample),
-                    fast.assign_one(&sample),
-                    "{kernel}"
-                );
-            }
+        let fast = ShardedIndex::new(centroids.clone(), 2).with_kernel(AssignKernel::Gemm);
+        assert_eq!(fast.kernel(), AssignKernel::Gemm);
+        for sample in [[1.0, 1.0], [9.0, 1.0], [1.0, 9.0], [-3.0, -3.0]] {
+            assert_eq!(exact.assign_one(&sample), fast.assign_one(&sample));
         }
     }
 
@@ -334,7 +321,7 @@ mod tests {
     fn batch_matches_per_sample_path_under_every_kernel() {
         let centroids = grid_centroids(13, 5);
         let samples = grid_centroids(40, 5);
-        for kernel in Kernel::ALL {
+        for kernel in AssignKernel::ALL {
             let index = ShardedIndex::new(centroids.clone(), 3).with_kernel(kernel);
             let batched = index.assign_batch(&samples);
             for (i, row) in samples.iter_rows().enumerate() {

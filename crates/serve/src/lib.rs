@@ -88,7 +88,7 @@ pub use admission::{
 pub use artifact::{ArtifactError, ModelArtifact, ModelMeta, FORMAT_VERSION, MAGIC};
 pub use dispatch::DispatchConfig;
 pub use error::ServeError;
-pub use index::{BatchOutcome, Kernel, ShardedIndex};
+pub use index::{BatchOutcome, ShardedIndex};
 pub use loadgen::{
     run_closed_loop, run_ramp, LoadGenConfig, LoadReport, RampConfig, RampPhase, RampReport,
 };
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::artifact::{ArtifactError, ModelArtifact, ModelMeta};
     pub use crate::dispatch::DispatchConfig;
     pub use crate::error::ServeError;
-    pub use crate::index::{BatchOutcome, Kernel, ShardedIndex};
+    pub use crate::index::{BatchOutcome, ShardedIndex};
     pub use crate::loadgen::{
         run_closed_loop, run_ramp, LoadGenConfig, LoadReport, RampConfig, RampPhase, RampReport,
     };

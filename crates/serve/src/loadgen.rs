@@ -253,7 +253,11 @@ impl RampReport {
 
     /// Largest per-phase p99 across the ramp, nanoseconds.
     pub fn worst_p99_ns(&self) -> u64 {
-        self.phases.iter().map(|p| p.report.p99_ns).max().unwrap_or(0)
+        self.phases
+            .iter()
+            .map(|p| p.report.p99_ns)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The ramp as a JSON document (no serde in the workspace): one

@@ -146,11 +146,11 @@ impl ServeMetrics {
         let active = active as f64;
         self.registry.gauge_set("serve_shards_active", active);
         let peak = self.registry.gauge("serve_shards_active_peak");
-        if peak.map_or(true, |p| active > p) {
+        if peak.is_none_or(|p| active > p) {
             self.registry.gauge_set("serve_shards_active_peak", active);
         }
         let low = self.registry.gauge("serve_shards_active_low");
-        if low.map_or(true, |l| active < l) {
+        if low.is_none_or(|l| active < l) {
             self.registry.gauge_set("serve_shards_active_low", active);
         }
     }
@@ -252,10 +252,7 @@ impl ServeMetrics {
             model_swaps: self.registry.counter("serve_model_swaps"),
             admission_shed: self.registry.counter("serve_admission_shed"),
             steals: self.registry.counter("serve_steal_total"),
-            shards_active: self
-                .registry
-                .gauge("serve_shards_active")
-                .unwrap_or(0.0) as u64,
+            shards_active: self.registry.gauge("serve_shards_active").unwrap_or(0.0) as u64,
             stranded: self
                 .registry
                 .gauge("serve_stranded_requests")

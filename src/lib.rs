@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use kmeans_core::{
         adjusted_rand_index, init_centroids, nmi, purity, standardized, AssignKernel, AssignPlan,
-        InitMethod, KMeansConfig, Lloyd, Matrix, MatrixSource, MiniBatchConfig, Scalar,
+        InitMethod, KMeansConfig, Lloyd, Matrix, MatrixSource, Scalar,
     };
     pub use perf_model::{best_level, CostModel, ProblemShape};
     pub use sw_arch::{Machine, MachineParams};

@@ -1,8 +1,9 @@
-//! Algorithm-family cross-checks: the accelerated/approximate baselines
-//! (Yinyang, mini-batch, rayon) against the hierarchical executors and
-//! serial Lloyd, scored with the external clustering metrics.
+//! Algorithm-family cross-checks: serial Lloyd with and without
+//! triangle-inequality bounds (Hamerly, Yinyang), the streaming executor
+//! and the hierarchical executors, scored with the external clustering
+//! metrics.
 
-use sunway_kmeans::kmeans_core::{elkan, minibatch, yinyang, MiniBatchConfig};
+use sunway_kmeans::kmeans_core::BoundsMode;
 use sunway_kmeans::prelude::*;
 
 fn blobs(n: usize, d: usize, k: usize, seed: u64) -> (Matrix<f64>, Vec<u32>) {
@@ -20,7 +21,7 @@ fn yinyang_and_level3_agree_with_lloyd() {
     let init = init_centroids(&data, 9, InitMethod::Forgy, 11);
     let cfg = KMeansConfig::new(9).with_max_iters(10).with_tol(0.0);
     let lloyd = Lloyd::run_from(&data, init.clone(), &cfg).unwrap();
-    let (yy, stats) = yinyang::run_from(&data, init.clone(), &cfg).unwrap();
+    let yy = Lloyd::run_from(&data, init.clone(), &cfg.with_bounds(BoundsMode::Yinyang)).unwrap();
     let hier = HierKMeans::new(Level::L3)
         .with_units(6)
         .with_group_units(3)
@@ -34,7 +35,7 @@ fn yinyang_and_level3_agree_with_lloyd() {
     assert!(yy.centroids.max_abs_diff(&lloyd.centroids) < 1e-9);
     assert!(hier.centroids.max_abs_diff(&lloyd.centroids) < 1e-9);
     // Yinyang did strictly less distance work than Lloyd on separated data.
-    assert!(stats.distance_evals < stats.lloyd_equivalent);
+    assert!(yy.bounds.distance_evals < yy.bounds.lloyd_equivalent);
 }
 
 #[test]
@@ -44,7 +45,7 @@ fn all_exact_algorithms_recover_ground_truth() {
     let cfg = KMeansConfig::new(6).with_max_iters(60);
 
     let lloyd = Lloyd::run_from(&data, init.clone(), &cfg).unwrap();
-    let (yy, _) = yinyang::run_from(&data, init.clone(), &cfg).unwrap();
+    let yy = Lloyd::run_from(&data, init.clone(), &cfg.with_bounds(BoundsMode::Yinyang)).unwrap();
     let hier = HierKMeans::new(Level::L2)
         .with_units(6)
         .with_group_units(3)
@@ -65,53 +66,37 @@ fn all_exact_algorithms_recover_ground_truth() {
 }
 
 #[test]
-fn elkan_yinyang_and_hier_form_one_equivalence_class() {
+fn bounded_lloyd_and_hier_form_one_equivalence_class() {
     let (data, _) = blobs(500, 8, 12, 6);
     let init = init_centroids(&data, 12, InitMethod::Forgy, 17);
     let cfg = KMeansConfig::new(12).with_max_iters(12).with_tol(0.0);
     let lloyd = Lloyd::run_from(&data, init.clone(), &cfg).unwrap();
-    let (ek, ek_stats) = elkan::run_from(&data, init.clone(), &cfg).unwrap();
-    let (yy, yy_stats) = yinyang::run_from(&data, init.clone(), &cfg).unwrap();
     let hier = HierKMeans::new(Level::L3)
         .with_units(4)
         .with_group_units(2)
         .with_cpes_per_cg(4)
         .with_max_iters(12)
         .with_tol(0.0)
-        .fit(&data, init)
+        .fit(&data, init.clone())
         .unwrap();
-    assert_eq!(ek.labels, lloyd.labels);
-    assert_eq!(yy.labels, lloyd.labels);
     assert_eq!(hier.labels, lloyd.labels);
-    // Both accelerators saved work; Elkan (full bounds) filters at least
-    // as aggressively as Yinyang (group bounds) on separated data.
-    assert!(ek_stats.savings() > 0.0);
-    assert!(yy_stats.savings() > 0.0);
-    assert!(
-        ek_stats.distance_evals <= yy_stats.distance_evals * 2,
-        "elkan {} vs yinyang {}",
-        ek_stats.distance_evals,
-        yy_stats.distance_evals
-    );
-}
-
-#[test]
-fn minibatch_is_close_but_cheaper() {
-    let (data, truth) = blobs(3_000, 8, 5, 3);
-    let init = init_centroids(&data, 5, InitMethod::KMeansPlusPlus, 7);
-    let mb = minibatch::run_from(
-        &data,
-        init,
-        &MiniBatchConfig {
-            batch: 256,
-            batches: 60,
-            seed: 4,
-        },
-        &KMeansConfig::new(5),
-    )
-    .unwrap();
-    let ari = adjusted_rand_index(&mb.labels, &truth);
-    assert!(ari > 0.9, "minibatch ARI {ari}");
+    // Both bound modes are exact and saved work on separated data.
+    for mode in [BoundsMode::Hamerly, BoundsMode::Yinyang] {
+        let bounded = Lloyd::run_from(&data, init.clone(), &cfg.with_bounds(mode)).unwrap();
+        assert_eq!(bounded.labels, lloyd.labels, "{mode}");
+        assert_eq!(
+            bounded.objective.to_bits(),
+            lloyd.objective.to_bits(),
+            "{mode}"
+        );
+        let stats = bounded.bounds;
+        assert!(
+            stats.distance_evals < stats.lloyd_equivalent,
+            "{mode}: {} evals vs {} Lloyd-equivalent",
+            stats.distance_evals,
+            stats.lloyd_equivalent
+        );
+    }
 }
 
 #[test]

@@ -1,14 +1,16 @@
-//! Property tests for the assign-kernel layer: `Expanded`, `Tiled` and
-//! `Gemm` must reproduce the exact `Scalar` reference's argmin — including
-//! the workspace-wide lowest-index tie-break — across arbitrary shapes,
-//! tile budgets and dimension slicings. `Gemm` is additionally held to a
-//! stronger bar: bitwise-identical keys to `Tiled` (the two share one
-//! canonical accumulation order).
+//! Property tests for the assign-kernel layer: `Gemm` must reproduce the
+//! exact `Scalar` reference's argmin — including the workspace-wide
+//! lowest-index tie-break — across arbitrary shapes, LDM budgets and
+//! dimension slicings. `Gemm` is additionally held to a stronger bar:
+//! bitwise-identical labels and keys to the per-pair scan its plan exposes
+//! (`score_pair` + `key_to_dist`), which shares its canonical
+//! accumulation order but none of its blocking, packing or micro kernel.
 
 use proptest::prelude::*;
+use std::ops::Range;
 use sunway_kmeans::kmeans_core::distance::{argmin_direct, argmin_direct_portable, CentroidPanels};
 use sunway_kmeans::kmeans_core::{
-    argmin_centroid, BoundsMode, KMeansConfig, Lloyd, TileShape, LDM_BYTES_DEFAULT,
+    argmin_centroid, BoundsMode, GemmBlocking, KMeansConfig, Lloyd, LDM_BYTES_DEFAULT,
 };
 use sunway_kmeans::prelude::*;
 
@@ -29,11 +31,65 @@ fn assign_all(
     out
 }
 
+/// Assert that the plan's batch kernel over centroid rows `crows`
+/// (reported from `offset`) returns, per sample, exactly the label and key
+/// bits of the strict-`<` ascending per-pair scan — and that `assign_one`
+/// agrees with both.
+fn assert_batch_is_the_per_pair_scan<S: Scalar>(
+    plan: &AssignPlan<S>,
+    data: &Matrix<S>,
+    centroids: &Matrix<S>,
+    crows: Range<usize>,
+    offset: usize,
+) {
+    let mut out = Vec::new();
+    plan.assign_batch_into(
+        data,
+        0..data.rows(),
+        centroids,
+        crows.clone(),
+        offset,
+        &mut out,
+    );
+    for (i, &(label, key)) in out.iter().enumerate() {
+        let sample = data.row(i);
+        let mut best = (crows.start, plan.score_pair(sample, centroids, crows.start));
+        for j in crows.start + 1..crows.end {
+            let s = plan.score_pair(sample, centroids, j);
+            if s < best.1 {
+                best = (j, s);
+            }
+        }
+        let want = (
+            (offset + best.0 - crows.start) as u32,
+            plan.key_to_dist(sample, best.1).bits(),
+        );
+        assert_eq!((label, key.bits()), want, "crows {crows:?} sample {i}");
+        let (one_label, one_key) = plan.assign_one(sample, centroids, crows.clone(), offset);
+        assert_eq!(
+            (one_label, one_key.bits()),
+            want,
+            "assign_one, crows {crows:?} sample {i}"
+        );
+    }
+}
+
+/// `rows` Forgy centroids of `data` with row 0 copied over the last row
+/// (when there are two or more), so exact ties exist.
+fn centroids_with_a_duplicate<S: Scalar>(data: &Matrix<S>, rows: usize, seed: u64) -> Matrix<S> {
+    let mut c = init_centroids(data, rows, InitMethod::Forgy, seed);
+    if rows > 1 {
+        let dup = c.row(0).to_vec();
+        c.row_mut(rows - 1).copy_from_slice(&dup);
+    }
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// On random f64 problems every kernel picks the same centroid as the
-    /// serial scan, at every LDM budget (tiny budgets force edge tiles).
+    /// serial scan, at every LDM budget (tiny budgets force edge blocks).
     #[test]
     fn kernels_match_scalar_argmin_on_random_shapes(
         seed in 0u64..10_000,
@@ -56,7 +112,7 @@ proptest! {
     }
 
     /// Duplicated centroid rows create exact ties at arbitrary positions
-    /// of the tile grid; the lowest global index must always win.
+    /// of the panel grid; the lowest global index must always win.
     #[test]
     fn duplicated_rows_tie_to_the_lowest_index(
         seed in 0u64..10_000,
@@ -122,39 +178,41 @@ proptest! {
         }
     }
 
-    /// `Gemm` reproduces `Tiled` *bitwise* — labels and comparison keys —
-    /// at every LDM budget: both kernels accumulate every dot product in
-    /// the same canonical ascending-dimension order, so packing and
-    /// register blocking must be invisible to the last bit.
+    /// `Gemm` reproduces the per-pair scan *bitwise* — labels and
+    /// comparison keys — at every LDM budget, in f64 and in f32 (the AVX
+    /// micro kernel on x86-64), with and without Level-3 dimension slices,
+    /// and on centroid sub-ranges that start or end mid-panel: every dot
+    /// accumulates in the same canonical ascending-dimension order, so
+    /// packing and register blocking must be invisible to the last bit.
+    /// A duplicated centroid row pins the lowest-index tie-break.
     #[test]
-    fn gemm_matches_tiled_bitwise(
+    fn gemm_matches_per_pair_scan_bitwise(
         seed in 0u64..10_000,
         n in 1usize..60,
         d in 1usize..40,
         k in 1usize..20,
         ldm_pick in 0usize..4,
+        cpes in 0usize..5,
+        lo_pick in 0usize..20,
+        len_pick in 0usize..20,
     ) {
         let ldm = [64usize, 700, 4_096, LDM_BYTES_DEFAULT][ldm_pick];
-        let blobs = GaussianMixture::new(n.max(k), d, k).with_seed(seed).generate::<f64>();
-        let data = blobs.data;
-        let centroids = init_centroids(&data, k, InitMethod::Forgy, seed + 5);
-        let tiled = assign_all(
-            &AssignPlan::with_ldm_budget(AssignKernel::Tiled, &centroids, ldm),
-            &data,
-            &centroids,
-        );
-        let gemm = assign_all(
-            &AssignPlan::with_ldm_budget(AssignKernel::Gemm, &centroids, ldm),
-            &data,
-            &centroids,
-        );
-        for i in 0..data.rows() {
-            prop_assert_eq!(tiled[i].0, gemm[i].0, "ldm={} sample {}", ldm, i);
-            prop_assert_eq!(
-                tiled[i].1.to_bits(), gemm[i].1.to_bits(),
-                "ldm={} sample {}: keys diverged bitwise", ldm, i
-            );
-        }
+        let slices = (cpes > 0).then(|| {
+            (0..cpes).map(|c| c * d / cpes..(c + 1) * d / cpes).collect::<Vec<_>>()
+        });
+        let lo = lo_pick % k;
+        let crows = lo..lo + 1 + len_pick % (k - lo);
+        let offset = seed as usize % 7;
+        let data = GaussianMixture::new(n.max(k), d, k).with_seed(seed).generate::<f64>().data;
+        let centroids = centroids_with_a_duplicate(&data, k, seed + 5);
+        let plan = AssignPlan::with_options(AssignKernel::Gemm, &centroids, ldm, slices.clone());
+        assert_batch_is_the_per_pair_scan(&plan, &data, &centroids, 0..k, 0);
+        assert_batch_is_the_per_pair_scan(&plan, &data, &centroids, crows.clone(), offset);
+        let data = GaussianMixture::new(n.max(k), d, k).with_seed(seed).generate::<f32>().data;
+        let centroids = centroids_with_a_duplicate(&data, k, seed + 6);
+        let plan = AssignPlan::with_options(AssignKernel::Gemm, &centroids, ldm, slices);
+        assert_batch_is_the_per_pair_scan(&plan, &data, &centroids, 0..k, 0);
+        assert_batch_is_the_per_pair_scan(&plan, &data, &centroids, crows, offset);
     }
 
     /// The exact batch kernel behind `assign_step`: its AVX body (what
@@ -212,7 +270,7 @@ proptest! {
         n in 30usize..120,
         d in 2usize..24,
         k in 2usize..12,
-        kernel_pick in 0usize..4,
+        kernel_pick in 0usize..2,
         bounds_pick in 0usize..2,
     ) {
         let kernel = AssignKernel::ALL[kernel_pick];
@@ -238,8 +296,8 @@ proptest! {
         prop_assert!(r.bounds.lloyd_equivalent > 0, "{}/{}: no bounds work", bounds, kernel);
     }
 
-    /// The tile planner never exceeds its budget (when it can help it) and
-    /// always yields positive tile edges.
+    /// The GEMM block planner never exceeds its budget (when it can help
+    /// it) and always yields whole 4×8 micro tiles.
     #[test]
     fn tile_budgets_are_respected(
         d in 1usize..10_000,
@@ -247,24 +305,25 @@ proptest! {
         ldm in 64usize..(1 << 21),
     ) {
         let elem = [4usize, 8][elem_pick];
-        let t = TileShape::for_budget(ldm, d, elem);
-        prop_assert!(t.samples >= 1 && t.centroids >= 1);
-        prop_assert!(t.samples <= 512 && t.centroids <= 512);
-        if t.samples > 1 || t.centroids > 1 {
+        let b = GemmBlocking::for_budget(ldm, d, elem);
+        prop_assert!(b.mc >= 4 && b.nc >= 8);
+        prop_assert!(b.mc.is_multiple_of(4) && b.nc.is_multiple_of(8));
+        prop_assert!(b.mc <= 4096 && b.nc <= 4096);
+        if b.mc > 4 || b.nc > 8 {
             prop_assert!(
-                t.footprint_bytes(d, elem) <= ldm,
+                b.footprint_bytes(d, elem) <= ldm,
                 "{:?} uses {} B of {}",
-                t, t.footprint_bytes(d, elem), ldm
+                b, b.footprint_bytes(d, elem), ldm
             );
         }
     }
 }
 
-/// f32 near-tie tolerance, documented: on *well-separated* data all three
-/// kernels agree bitwise with the serial scan. Near-exact ties are the one
-/// place `Expanded`/`Tiled` may legitimately differ from `Scalar` — the
-/// expansion `‖x‖²+‖c‖²−2·x·c` is a different rounding of the same value —
-/// so equivalence there is asserted only up to a key tolerance, not label
+/// f32 near-tie tolerance, documented: on *well-separated* data both
+/// kernels agree with the serial scan's labels. Near-exact ties are the one
+/// place `Gemm` may legitimately differ from `Scalar` — the expansion
+/// `‖x‖²+‖c‖²−2·x·c` is a different rounding of the same value — so
+/// equivalence there is asserted only up to a key tolerance, not label
 /// equality.
 #[test]
 fn f32_keys_stay_within_documented_tolerance() {
@@ -277,24 +336,18 @@ fn f32_keys_stay_within_documented_tolerance() {
     let scalar_plan = AssignPlan::new(AssignKernel::Scalar, &centroids);
     let mut scalar = Vec::new();
     scalar_plan.assign_batch_into(&data, 0..data.rows(), &centroids, 0..8, 0, &mut scalar);
-    for kernel in [
-        AssignKernel::Expanded,
-        AssignKernel::Tiled,
-        AssignKernel::Gemm,
-    ] {
-        let plan = AssignPlan::new(kernel, &centroids);
-        let mut got = Vec::new();
-        plan.assign_batch_into(&data, 0..data.rows(), &centroids, 0..8, 0, &mut got);
-        for i in 0..data.rows() {
-            // Separated blobs: labels agree exactly.
-            assert_eq!(got[i].0, scalar[i].0, "{kernel} sample {i}");
-            // Keys agree to f32 cancellation tolerance: the expansion
-            // subtracts two large norm terms, so its relative error scales
-            // with ε·(‖x‖²+‖c‖²)/‖x−c‖² — a relative 1e-3 window here, and
-            // the documented near-tie band within which labels could
-            // legitimately differ on adversarial data.
-            let rel = (got[i].1 - scalar[i].1).abs() / (1.0 + scalar[i].1.abs());
-            assert!(rel < 1e-3, "{kernel} sample {i}: key drift {rel}");
-        }
+    let plan = AssignPlan::new(AssignKernel::Gemm, &centroids);
+    let mut got = Vec::new();
+    plan.assign_batch_into(&data, 0..data.rows(), &centroids, 0..8, 0, &mut got);
+    for i in 0..data.rows() {
+        // Separated blobs: labels agree exactly.
+        assert_eq!(got[i].0, scalar[i].0, "sample {i}");
+        // Keys agree to f32 cancellation tolerance: the expansion subtracts
+        // two large norm terms, so its relative error scales with
+        // ε·(‖x‖²+‖c‖²)/‖x−c‖² — a relative 1e-3 window here, and the
+        // documented near-tie band within which labels could legitimately
+        // differ on adversarial data.
+        let rel = (got[i].1 - scalar[i].1).abs() / (1.0 + scalar[i].1.abs());
+        assert!(rel < 1e-3, "sample {i}: key drift {rel}");
     }
 }

@@ -170,11 +170,7 @@ fn kernel_choice_and_assign_throughput_are_exported() {
         .with_seed(21)
         .generate::<f64>();
     let init = init_centroids(&blobs.data, 8, InitMethod::Forgy, 3);
-    for kernel in [
-        AssignKernel::Scalar,
-        AssignKernel::Expanded,
-        AssignKernel::Tiled,
-    ] {
+    for kernel in AssignKernel::ALL {
         let cfg = HierConfig {
             level: Level::L2,
             units: 4,
@@ -221,13 +217,13 @@ fn kernel_choice_and_assign_throughput_are_exported() {
             cpes_per_cg: 4,
             max_iters: 2,
             tol: 0.0,
-            kernel: AssignKernel::Tiled,
+            kernel: AssignKernel::Gemm,
             ..HierConfig::new(Level::L1)
         },
     )
     .unwrap();
     let registry = MetricsRegistry::shared();
-    let index = ShardedIndex::new(trained.centroids.clone(), 2).with_kernel(AssignKernel::Tiled);
+    let index = ShardedIndex::new(trained.centroids.clone(), 2).with_kernel(AssignKernel::Gemm);
     let server = Server::start_with_registry(index, PipelineConfig::default(), registry.clone());
     let client = server.client();
     client.predict(blobs.data.row(0).to_vec()).unwrap();
@@ -235,6 +231,6 @@ fn kernel_choice_and_assign_throughput_are_exported() {
     server.shutdown();
     assert_eq!(
         registry.gauge("serve_assign_kernel"),
-        Some(AssignKernel::Tiled.code() as f64)
+        Some(AssignKernel::Gemm.code() as f64)
     );
 }

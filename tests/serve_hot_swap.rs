@@ -111,11 +111,7 @@ fn swaps_during_an_elastic_ramp_lose_no_requests() {
         MetricsRegistry::shared(),
         Default::default(),
     );
-    let queries = Matrix::from_vec(
-        8,
-        d,
-        (0..8 * d).map(|i| (i as f32 * 0.07).cos()).collect(),
-    );
+    let queries = Matrix::from_vec(8, d, (0..8 * d).map(|i| (i as f32 * 0.07).cos()).collect());
 
     let swaps = 6u64;
     let ramp = std::thread::scope(|scope| {

@@ -196,12 +196,9 @@ fn slo_sheds_are_typed_with_estimate_and_objective() {
     // Hammer until the gate closes, then inspect the typed error.
     let mut shed_error = None;
     for i in 0..4_000 {
-        match client.predict(queries.row(i % 4).to_vec()) {
-            Err(e @ ServeError::SloShed { .. }) => {
-                shed_error = Some(e);
-                break;
-            }
-            _ => {}
+        if let Err(e @ ServeError::SloShed { .. }) = client.predict(queries.row(i % 4).to_vec()) {
+            shed_error = Some(e);
+            break;
         }
     }
     match shed_error {

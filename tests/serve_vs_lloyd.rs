@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use sunway_kmeans::kmeans_core::{assign_step, init_centroids, InitMethod, Matrix};
 use sunway_kmeans::prelude::*;
-use sunway_kmeans::swkm_serve::Kernel;
 
 fn serial_labels(data: &Matrix<f64>, centroids: &Matrix<f64>) -> Vec<u32> {
     let mut labels = vec![0u32; data.rows()];
@@ -98,11 +97,11 @@ proptest! {
     }
 }
 
-/// The norm-trick kernel is a numerically different fast path, so it is
-/// not bit-identity-guaranteed; on well-separated data it must still
-/// agree with the serial scan.
+/// The GEMM kernel's norm expansion is a numerically different fast path,
+/// so it is not bit-identity-guaranteed against the serial scan; on
+/// well-separated data it must still agree with it.
 #[test]
-fn norm_trick_agrees_on_separated_clusters() {
+fn gemm_agrees_on_separated_clusters() {
     let centroids = Matrix::from_rows(&[
         &[0.0f64, 0.0, 0.0],
         &[100.0, 0.0, 0.0],
@@ -117,7 +116,7 @@ fn norm_trick_agrees_on_separated_clusters() {
     ]);
     let expected = serial_labels(&queries, &centroids);
     for shards in [1usize, 2, 4] {
-        let index = ShardedIndex::new(centroids.clone(), shards).with_kernel(Kernel::Expanded);
+        let index = ShardedIndex::new(centroids.clone(), shards).with_kernel(AssignKernel::Gemm);
         assert_eq!(index.assign_batch(&queries), expected, "{shards} shard(s)");
     }
 }

@@ -53,7 +53,7 @@ proptest! {
         units in 1usize..5,
         group in 1usize..4,
         cpes in 1usize..7,
-        kernel_pick in 0usize..4,
+        kernel_pick in 0usize..2,
         level_pick in 0usize..3,
     ) {
         let k = k.min(n);
@@ -120,7 +120,7 @@ proptest! {
         k in 2usize..10,
         units in 1usize..4,
         group in 1usize..4,
-        kernel_pick in 0usize..4,
+        kernel_pick in 0usize..2,
         level_pick in 0usize..3,
         update_pick in 0usize..3,
         merge_pick in 0usize..2,
